@@ -39,13 +39,16 @@ int main(int argc, char** argv) {
       mec::ScenarioBuilder()
           .num_users(static_cast<std::size_t>(cli.get_int("users")))
           .build(rng);
+  // Compiled once: the solve, its audit and the evaluator below share it,
+  // so the reported solve time excludes compilation.
+  const jtora::CompiledProblem problem(scenario);
 
   // 2. Solve. TSAJS = threshold-triggered simulated annealing over the
   //    offloading decision, with the KKT closed form for CPU allocation
   //    folded into every objective evaluation.
   const algo::TsajsScheduler scheduler;
   const algo::ScheduleResult result =
-      algo::run_and_validate(scheduler, scenario, rng);
+      algo::run_and_validate(scheduler, {.problem = &problem, .rng = &rng});
 
   std::cout << "network : " << scenario.num_users() << " users, "
             << scenario.num_servers() << " cells, "
@@ -58,7 +61,7 @@ int main(int argc, char** argv) {
             << " (" << result.evaluations << " objective evaluations)\n";
 
   // 3. Inspect per-user outcomes under the optimal resource allocation.
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   const jtora::Evaluation eval = evaluator.evaluate(result.assignment);
 
   Table table({"user", "decision", "rate", "delay", "local delay", "energy",

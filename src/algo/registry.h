@@ -26,7 +26,7 @@ struct RegistryOptions {
   /// (default), 0 = hardware concurrency. Restart results are bit-identical
   /// for every setting; only the wall clock changes.
   std::size_t threads = 1;
-  /// Reheat temperature for TSAJS warm starts (schedule_from); unset keeps
+  /// Reheat temperature for TSAJS warm (hinted) solves; unset keeps
   /// TsajsConfig's default. Only consulted when the caller drives the
   /// scheduler through the warm-start path.
   std::optional<double> warm_reheat;

@@ -185,58 +185,6 @@ void validate_result(const Scheduler& scheduler,
 
 }  // namespace
 
-ScheduleResult Scheduler::schedule(const jtora::CompiledProblem& problem,
-                                   Rng& rng) const {
-  SolveRequest request;
-  request.problem = &problem;
-  request.rng = &rng;
-  return solve(request);
-}
-
-ScheduleResult Scheduler::schedule(const mec::Scenario& scenario,
-                                   Rng& rng) const {
-  const jtora::CompiledProblem problem(scenario);
-  return schedule(problem, rng);
-}
-
-ScheduleResult Scheduler::schedule_from(const jtora::CompiledProblem& problem,
-                                        const jtora::Assignment& hint,
-                                        Rng& rng) const {
-  SolveRequest request;
-  request.problem = &problem;
-  request.hint = &hint;
-  request.rng = &rng;
-  return solve(request);
-}
-
-ScheduleResult Scheduler::schedule_from(const mec::Scenario& scenario,
-                                        const jtora::Assignment& hint,
-                                        Rng& rng) const {
-  const jtora::CompiledProblem problem(scenario);
-  return schedule_from(problem, hint, rng);
-}
-
-ScheduleResult Scheduler::schedule_within(const jtora::CompiledProblem& problem,
-                                          const SolveBudget& budget,
-                                          Rng& rng) const {
-  SolveRequest request;
-  request.problem = &problem;
-  request.budget = &budget;
-  request.rng = &rng;
-  return solve(request);
-}
-
-ScheduleResult Scheduler::schedule_from_within(
-    const jtora::CompiledProblem& problem, const jtora::Assignment& hint,
-    const SolveBudget& budget, Rng& rng) const {
-  SolveRequest request;
-  request.problem = &problem;
-  request.hint = &hint;
-  request.budget = &budget;
-  request.rng = &rng;
-  return solve(request);
-}
-
 ScheduleResult run_and_validate(const Scheduler& scheduler,
                                 const SolveRequest& request) {
   request.validate();
@@ -247,53 +195,16 @@ ScheduleResult run_and_validate(const Scheduler& scheduler,
   return result;
 }
 
-ScheduleResult run_and_validate(const Scheduler& scheduler,
-                                const jtora::CompiledProblem& problem,
-                                Rng& rng) {
-  SolveRequest request;
-  request.problem = &problem;
-  request.rng = &rng;
-  return run_and_validate(scheduler, request);
-}
-
-ScheduleResult run_and_validate(const Scheduler& scheduler,
-                                const jtora::CompiledProblem& problem,
-                                const jtora::Assignment& hint, Rng& rng) {
-  SolveRequest request;
-  request.problem = &problem;
-  request.hint = &hint;
-  request.rng = &rng;
-  return run_and_validate(scheduler, request);
-}
-
-ScheduleResult run_and_validate(const Scheduler& scheduler,
-                                const mec::Scenario& scenario, Rng& rng) {
-  // Compiled inside the timed region so one-shot callers keep the historic
-  // "solve time includes setup" accounting.
-  Stopwatch timer;
-  const jtora::CompiledProblem problem(scenario);
-  SolveRequest request;
-  request.problem = &problem;
-  request.rng = &rng;
-  ScheduleResult result = scheduler.solve(request);
-  result.solve_seconds = timer.elapsed_seconds();
-  validate_result(scheduler, problem, result);
-  return result;
-}
-
-ScheduleResult run_and_validate(const Scheduler& scheduler,
-                                const mec::Scenario& scenario,
-                                const jtora::Assignment& hint, Rng& rng) {
-  Stopwatch timer;
-  const jtora::CompiledProblem problem(scenario);
-  SolveRequest request;
-  request.problem = &problem;
-  request.hint = &hint;
-  request.rng = &rng;
-  ScheduleResult result = scheduler.solve(request);
-  result.solve_seconds = timer.elapsed_seconds();
-  validate_result(scheduler, problem, result);
-  return result;
+void carry_slot(jtora::Assignment& x, std::size_t u, const jtora::Slot& slot,
+                bool forwarded) {
+  if (slot.server >= x.num_servers() ||
+      slot.subchannel >= x.num_subchannels() ||
+      !x.slot_available(slot.server, slot.subchannel) ||
+      x.occupant(slot.server, slot.subchannel).has_value()) {
+    return;
+  }
+  x.offload(u, slot.server, slot.subchannel);
+  if (forwarded && x.can_forward(u)) x.set_forwarded(u, true);
 }
 
 jtora::Assignment repair_hint(const mec::Scenario& scenario,
@@ -302,24 +213,8 @@ jtora::Assignment repair_hint(const mec::Scenario& scenario,
   const std::size_t users =
       std::min(scenario.num_users(), hint.num_users());
   for (std::size_t u = 0; u < users; ++u) {
-    const auto slot = hint.slot_of(u);
-    if (!slot.has_value()) continue;
-    if (slot->server >= scenario.num_servers() ||
-        slot->subchannel >= scenario.num_subchannels()) {
-      continue;  // the slot no longer exists; the user re-enters local
-    }
-    if (!x.slot_available(slot->server, slot->subchannel)) {
-      continue;  // the resource faulted; the user degrades to local
-    }
-    if (x.occupant(slot->server, slot->subchannel).has_value()) {
-      continue;  // first-come (lowest user index) keeps a contested slot
-    }
-    x.offload(u, slot->server, slot->subchannel);
-    // Carry the cloud-forwarding bit when the new scenario still admits it;
-    // a vanished tier, dead backhaul, or full cloud strands the user on edge
-    // service (still feasible) rather than on a dead cloud path.
-    if (hint.is_forwarded(u) && x.can_forward(u)) {
-      x.set_forwarded(u, true);
+    if (const auto slot = hint.slot_of(u)) {
+      carry_slot(x, u, *slot, hint.is_forwarded(u));
     }
   }
   return x;

@@ -21,13 +21,11 @@
 //                    the configured budget. Schedulers without it ignore
 //                    the field and run to completion.
 //
-// The historical overload matrix (`schedule` / `schedule_from` /
-// `schedule_within` / `schedule_from_within`, each × Scenario /
-// CompiledProblem) survives as thin non-virtual shims on the base class
-// that pack a SolveRequest and forward to solve(); they are deprecated but
-// keep every existing call site compiling, and because incapable schedulers
-// ignore the optional fields the shims reproduce the old dynamic_cast
-// fallbacks bit-identically.
+// Callers build the request inline, e.g.
+//
+//   scheduler.solve({.problem = &problem, .hint = &hint, .rng = &rng});
+//
+// and audited callers hand the same request to run_and_validate().
 #pragma once
 
 #include <cstddef>
@@ -143,50 +141,25 @@ class Scheduler {
   [[nodiscard]] bool supports(Capability capability) const noexcept {
     return (capabilities() & capability) != 0;
   }
-
-  // -- Deprecated shims -----------------------------------------------------
-  // The pre-SolveRequest overload matrix. Each packs a SolveRequest and
-  // forwards to solve(); behavior (including RNG streams) is bit-identical
-  // to the historical entry points. New code should build a SolveRequest.
-
-  /// Deprecated: use solve(). Cold solve of a compiled problem.
-  [[nodiscard]] ScheduleResult schedule(const jtora::CompiledProblem& problem,
-                                        Rng& rng) const;
-
-  /// Deprecated: use solve(). Compiles `scenario` and solves — one-shot
-  /// only; repeated callers should compile once.
-  [[nodiscard]] ScheduleResult schedule(const mec::Scenario& scenario,
-                                        Rng& rng) const;
-
-  /// Deprecated: use solve() with a hint. Schedulers without kWarmStart
-  /// ignore the hint and solve cold (the historical fallback).
-  [[nodiscard]] ScheduleResult schedule_from(
-      const jtora::CompiledProblem& problem, const jtora::Assignment& hint,
-      Rng& rng) const;
-  [[nodiscard]] ScheduleResult schedule_from(const mec::Scenario& scenario,
-                                             const jtora::Assignment& hint,
-                                             Rng& rng) const;
-
-  /// Deprecated: use solve() with a budget. Schedulers without kBudgetAware
-  /// ignore the budget and run to completion (the historical fallback).
-  [[nodiscard]] ScheduleResult schedule_within(
-      const jtora::CompiledProblem& problem, const SolveBudget& budget,
-      Rng& rng) const;
-
-  /// Deprecated: use solve() with hint + budget.
-  [[nodiscard]] ScheduleResult schedule_from_within(
-      const jtora::CompiledProblem& problem, const jtora::Assignment& hint,
-      const SolveBudget& budget, Rng& rng) const;
 };
 
+/// The warm-carry rule: user `u` (local in `x`) re-claims its carried
+/// `slot` when the slot lies inside x's server/sub-channel grid, is not
+/// fault-masked and is still unclaimed; otherwise it stays local (graceful
+/// degradation off dead resources). A claimed user keeps its
+/// cloud-forwarding bit only while `x` can_forward it — a vanished tier,
+/// dead backhaul or full cloud strands it on edge service (still feasible)
+/// rather than on a dead cloud path. Callers visit users in ascending index
+/// order, so the lowest index keeps a contested slot. repair_hint and the
+/// simulators' warm hints all carry slots through this one rule.
+void carry_slot(jtora::Assignment& x, std::size_t u, const jtora::Slot& slot,
+                bool forwarded);
+
 /// Clamps `hint` to a feasible assignment for `scenario`: users beyond the
-/// scenario's user count are dropped, slots outside the scenario's
-/// server/sub-channel grid — or masked unavailable by the scenario's fault
-/// state — are released (the user falls back to local, i.e. graceful
-/// degradation off dead resources), and surviving slots are taken
-/// first-come in ascending user order — so the result satisfies constraints
-/// (12b)-(12d) by construction for *any* hint. Users the hint does not
-/// cover start local.
+/// scenario's user count are dropped and every other user carries its hint
+/// slot by carry_slot, in ascending user order — so the result satisfies
+/// constraints (12b)-(12d) by construction for *any* hint. Users the hint
+/// does not cover start local.
 [[nodiscard]] jtora::Assignment repair_hint(const mec::Scenario& scenario,
                                             const jtora::Assignment& hint);
 
@@ -198,29 +171,11 @@ class Scheduler {
 /// independent evaluation. On any violation it throws tsajs::ValidationError
 /// carrying one diagnostic per violated constraint. The audit evaluator
 /// shares the request's problem, so the guard costs no recompilation. This
-/// is the single definition of solve timing + audit + warm-start semantics;
-/// every other run_and_validate overload packs a request and lands here.
+/// is the single definition of solve timing + audit + warm-start semantics.
+/// The timed region covers the solve only: callers compile the problem
+/// beforehand.
 [[nodiscard]] ScheduleResult run_and_validate(const Scheduler& scheduler,
                                               const SolveRequest& request);
-
-/// Deprecated conveniences over the SolveRequest form.
-[[nodiscard]] ScheduleResult run_and_validate(
-    const Scheduler& scheduler, const jtora::CompiledProblem& problem,
-    Rng& rng);
-[[nodiscard]] ScheduleResult run_and_validate(
-    const Scheduler& scheduler, const jtora::CompiledProblem& problem,
-    const jtora::Assignment& hint, Rng& rng);
-
-/// One-shot conveniences: compile `scenario` *inside* the timed region (so
-/// solve_seconds keeps the historic "includes setup" accounting) and run as
-/// above.
-[[nodiscard]] ScheduleResult run_and_validate(const Scheduler& scheduler,
-                                              const mec::Scenario& scenario,
-                                              Rng& rng);
-[[nodiscard]] ScheduleResult run_and_validate(const Scheduler& scheduler,
-                                              const mec::Scenario& scenario,
-                                              const jtora::Assignment& hint,
-                                              Rng& rng);
 
 /// Draws the random feasible initial solution used by TSAJS and LocalSearch
 /// (Algorithm 1 line 5): each user independently offloads with probability

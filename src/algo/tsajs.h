@@ -40,7 +40,7 @@ struct TsajsConfig {
   /// (Algorithm 1 line 3, "T <- N").
   std::optional<double> initial_temperature;
   /// Initial temperature of *warm* (hint-started) solves via
-  /// schedule_from(). A warm start is already near-optimal, so instead of
+  /// SolveRequest::hint. A warm start is already near-optimal, so instead of
   /// reheating to T = N and re-melting the solution, the annealer restarts
   /// the cooling schedule far down the curve and spends its whole budget
   /// polishing. Well below N by design; at the default the warm chain is

@@ -51,7 +51,7 @@ std::vector<SchemeStats> TrialRunner::run(const TrialSpec& spec) const {
   TSAJS_REQUIRE(spec.trials >= 1, "need at least one trial");
   TSAJS_REQUIRE(!spec.schemes.empty(), "need at least one scheme");
 
-  // Instantiate schedulers once; schedule() is const and stateless.
+  // Instantiate schedulers once; solve() is const and stateless.
   std::vector<std::unique_ptr<algo::Scheduler>> schedulers;
   schedulers.reserve(spec.schemes.size());
   for (const auto& name : spec.schemes) {

@@ -1,27 +1,12 @@
 #include "jtora/batch_kernels.h"
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/error.h"
 
 namespace tsajs::jtora::batch {
 
 namespace {
-
-bool env_default() noexcept {
-  const char* value = std::getenv("TSAJS_BATCH");
-  if (value == nullptr) return true;
-  return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "false") == 0 ||
-           std::strcmp(value, "off") == 0);
-}
-
-std::atomic<bool>& enabled_flag() noexcept {
-  static std::atomic<bool> flag{env_default()};
-  return flag;
-}
 
 /// One block of the multi-row accumulation: each destination lane is read
 /// once, receives K additions in row order, and is stored once. The per-lane
@@ -41,12 +26,6 @@ void accumulate_block(double* dst, const double* const* rows,
 }
 
 }  // namespace
-
-bool enabled() noexcept { return enabled_flag().load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) noexcept {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
 
 void accumulate_rows(double* dst, const double* const* rows,
                      std::size_t num_rows, std::size_t n) noexcept {

@@ -23,8 +23,9 @@
 // Bit-compatibility contract: with default flags every kernel performs the
 // *exact* floating-point operation sequence of the scalar code it replaces
 // — per-lane addition chains stay in row order, interference sums stay in
-// ascending-server order — so enabling/disabling the batch path (or the
-// TSAJS_SIMD build option) never changes a result bit. Golden hexfloat
+// ascending-server order — so the batch path (with or without the
+// TSAJS_SIMD build option) reproduces the scalar reference chain bit for
+// bit. Golden hexfloat
 // tests pin this. The only exception is the opt-in TSAJS_SIMD_REASSOC
 // build mode, which additionally marks the interference reductions as
 // vectorizable (`reduction(+:...)`) and therefore permits reassociation;
@@ -36,9 +37,10 @@
 // OpenMP runtime is linked). Without it the macro expands to nothing and
 // the kernels still win on memory passes and avoided occupant() lookups.
 //
-// Runtime dispatch: the batch path is on by default and bit-compatible; it
-// can be disabled process-wide (env TSAJS_BATCH=0 or set_enabled(false))
-// so A/B comparisons and the scalar-reference benches need no rebuild.
+// The batch path is the only production path. The scalar chain it replaces
+// survives solely as a test oracle, behind explicitly named reference entry
+// points (interference_sums_scalar below,
+// UtilityEvaluator::system_utility_reference).
 #pragma once
 
 #include <cstddef>
@@ -60,13 +62,6 @@
 #endif
 
 namespace tsajs::jtora::batch {
-
-/// True when the batch kernels are active (default). Reads env TSAJS_BATCH
-/// ("0"/"false" disables) once on first call; set_enabled overrides.
-[[nodiscard]] bool enabled() noexcept;
-
-/// Process-wide switch, mainly for tests and A/B benches.
-void set_enabled(bool on) noexcept;
 
 /// True when this binary was built with the TSAJS_SIMD CMake option
 /// (-fopenmp-simd; the pragmas are live).

@@ -1,7 +1,6 @@
 #include "jtora/utility.h"
 
 #include <cmath>
-#include <utility>
 
 #include "common/error.h"
 #include "jtora/batch_kernels.h"
@@ -11,21 +10,7 @@ namespace tsajs::jtora {
 UtilityEvaluator::UtilityEvaluator(const CompiledProblem& problem)
     : problem_(&problem), rate_(problem), cra_(problem) {}
 
-UtilityEvaluator::UtilityEvaluator(
-    std::shared_ptr<const CompiledProblem> problem)
-    : owned_(std::move(problem)),
-      problem_(owned_.get()),
-      rate_(*problem_),
-      cra_(*problem_) {
-  TSAJS_REQUIRE(problem_ != nullptr && problem_->compiled(),
-                "UtilityEvaluator needs a compiled problem");
-}
-
-UtilityEvaluator::UtilityEvaluator(const mec::Scenario& scenario)
-    : UtilityEvaluator(std::make_shared<const CompiledProblem>(scenario)) {}
-
-double UtilityEvaluator::system_utility(const Assignment& x) const {
-  if (batch::enabled()) return system_utility_batch(x);
+double UtilityEvaluator::system_utility_reference(const Assignment& x) const {
   double gain = 0.0;
   double gamma = 0.0;
   for (std::size_t u = 0; u < problem_->num_users(); ++u) {
@@ -53,11 +38,12 @@ double UtilityEvaluator::system_utility(const Assignment& x) const {
   return gain - gamma - lambda_cost;
 }
 
-double UtilityEvaluator::system_utility_batch(const Assignment& x) const {
-  // Same accumulation as the scalar path — ascending-user gain/gamma adds,
-  // ascending-server interference sums — but the occupant lists are gathered
-  // once (O(S*N)) instead of being re-derived through O(S) occupant()
-  // lookups per offloaded user. Bit-identical (golden tests pin it).
+double UtilityEvaluator::system_utility(const Assignment& x) const {
+  // Same accumulation as system_utility_reference — ascending-user
+  // gain/gamma adds, ascending-server interference sums — but the occupant
+  // lists are gathered once (O(S*N)) instead of being re-derived through
+  // O(S) occupant() lookups per offloaded user. Bit-identical (golden tests
+  // pin it).
   thread_local batch::OccupantLists lists;
   lists.gather(x, problem_->num_servers(), problem_->num_subchannels());
   const double noise = problem_->noise_w();

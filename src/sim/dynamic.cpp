@@ -140,21 +140,7 @@ DynamicReport DynamicSimulator::run(const algo::Scheduler& scheduler,
     // an empty epoch still advances outages and repairs).
     bool faulted = false;
     if (injector.has_value()) {
-      injector->advance_epoch();
-      mec::Availability mask = injector->availability();
-      if (breaker.enabled()) {
-        // Observe the raw link state, then narrow the scheduler's view:
-        // a tripped (open or half-open) breaker forces its backhaul down
-        // even when the raw link happens to be up this epoch — including
-        // fully-healthy epochs, where the injector's unconstrained mask
-        // must first be materialized for the breaker to write into.
-        breaker.observe_epoch(mask);
-        if (mask.unconstrained() && breaker.blocked_count() > 0) {
-          mask = mec::Availability(servers_.size(), num_subchannels_);
-        }
-        breaker.apply(mask);
-      }
-      workspace.set_availability(std::move(mask));
+      workspace.set_availability(advance_fault_step(*injector, breaker));
       // A breaker-withheld link degrades the epoch the same way a raw
       // outage does — forwarding capacity is gone either way.
       faulted = injector->any_fault() || breaker.blocked_count() > 0;
@@ -275,34 +261,19 @@ DynamicReport DynamicSimulator::run(const algo::Scheduler& scheduler,
         // Repair the carried assignment for this epoch's active set: users
         // that went inactive are simply absent (their slots free), newly
         // active users enter local, and survivors keep their slots.
+        // Faulted resources evict their users to local (algo::carry_slot).
         jtora::Assignment hint(scenario);
         for (std::size_t i = 0; i < active.size(); ++i) {
-          const auto& slot = carried[active[i]];
-          if (!slot.has_value()) continue;
-          if (!hint.slot_available(slot->server, slot->subchannel)) {
-            continue;  // resource faulted: the user is evicted to local
-          }
-          if (hint.occupant(slot->server, slot->subchannel).has_value()) {
-            continue;
-          }
-          hint.offload(i, slot->server, slot->subchannel);
-          // Re-apply the cloud-forwarding bit when the tier still admits it
-          // (backhaul up, cap not hit); a user stranded on a dead backhaul
-          // stays edge-served.
-          if (carried_forwarded[active[i]] != 0 && hint.can_forward(i)) {
-            hint.set_forwarded(i, true);
+          if (const auto& slot = carried[active[i]]) {
+            algo::carry_slot(hint, i, *slot, carried_forwarded[active[i]] != 0);
           }
         }
-        algo::SolveRequest request;
-        request.problem = &compiled;
-        request.hint = &hint;
-        request.rng = &scheduler_rng;
-        return algo::run_and_validate(scheduler, request);
+        return algo::run_and_validate(
+            scheduler,
+            {.problem = &compiled, .hint = &hint, .rng = &scheduler_rng});
       }
-      algo::SolveRequest request;
-      request.problem = &compiled;
-      request.rng = &scheduler_rng;
-      return algo::run_and_validate(scheduler, request);
+      return algo::run_and_validate(
+          scheduler, {.problem = &compiled, .rng = &scheduler_rng});
     }();
 
     // Remember this epoch's outcome as the next epoch's hint.

@@ -121,4 +121,17 @@ void FaultInjector::perturb_gains(Matrix3<double>& gains) {
   }
 }
 
+mec::Availability advance_fault_step(FaultInjector& injector,
+                                     mec::BackhaulBreaker& breaker) {
+  injector.advance_epoch();
+  mec::Availability mask = injector.availability();
+  breaker.observe_epoch(mask);
+  if (mask.unconstrained() && breaker.blocked_count() > 0) {
+    mask = mec::Availability(injector.num_servers(),
+                             injector.num_subchannels());
+  }
+  breaker.apply(mask);
+  return mask;
+}
+
 }  // namespace tsajs::sim

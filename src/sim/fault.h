@@ -36,6 +36,7 @@
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "mec/availability.h"
+#include "mec/breaker.h"
 
 namespace tsajs::sim {
 
@@ -110,6 +111,12 @@ class FaultInjector {
   void perturb_gains(Matrix3<double>& gains);
 
   [[nodiscard]] const FaultConfig& config() const noexcept { return config_; }
+  [[nodiscard]] std::size_t num_servers() const noexcept {
+    return num_servers_;
+  }
+  [[nodiscard]] std::size_t num_subchannels() const noexcept {
+    return num_subchannels_;
+  }
 
  private:
   std::size_t num_servers_;
@@ -125,5 +132,17 @@ class FaultInjector {
   std::size_t backhauls_down_ = 0;
   bool burst_active_ = false;
 };
+
+/// One fault step as the scheduler sees it: advances `injector` by one
+/// epoch, feeds its raw mask to `breaker`, and returns that mask narrowed
+/// by every tripped (open or half-open) breaker. A tripped breaker forces
+/// its backhaul down even when the raw link is up — including fully-healthy
+/// epochs, where the injector's unconstrained mask is first materialized
+/// for the breaker to write into (an open breaker outlives the raw outage).
+/// A disabled breaker leaves the raw mask untouched. The dynamic simulator
+/// and the streaming driver (live ticks and resume replay) all step faults
+/// through here.
+[[nodiscard]] mec::Availability advance_fault_step(
+    FaultInjector& injector, mec::BackhaulBreaker& breaker);
 
 }  // namespace tsajs::sim

@@ -259,17 +259,7 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
     injector.emplace(servers_.size(), num_subchannels_, config_.fault,
                      stream_seed(state.seed, kFaultStream, 0));
     for (std::uint64_t i = 0; i < state.fault_steps; ++i) {
-      injector->advance_epoch();
-      if (breaker.enabled()) breaker.observe_epoch(injector->availability());
-    }
-    if (state.fault_steps > 0) {
-      mask = injector->availability();
-      // An open breaker outlives the raw outage; give it a constrained
-      // mask to write its blocks into when the injector is fully healthy.
-      if (mask.unconstrained() && breaker.blocked_count() > 0) {
-        mask = mec::Availability(servers_.size(), num_subchannels_);
-      }
-      breaker.apply(mask);
+      mask = advance_fault_step(*injector, breaker);
     }
   }
   // A resumed segment reports only its own breaker transitions.
@@ -328,26 +318,21 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
       hint.emplace(scenario);
       std::size_t i = 0;
       for (const auto& [id, s] : sessions) {
-        if (s.has_slot && hint->slot_available(s.server, s.subchannel) &&
-            !hint->occupant(s.server, s.subchannel).has_value()) {
-          hint->offload(i, s.server, s.subchannel);
-          if (s.forwarded && hint->can_forward(i)) {
-            hint->set_forwarded(i, true);
-          }
+        if (s.has_slot) {
+          algo::carry_slot(*hint, i, {s.server, s.subchannel}, s.forwarded);
         }
         ++i;
       }
     }
     Rng solve_rng(stream_seed(state.seed, kSolveStream, d));
-    algo::SolveRequest request;
-    request.problem = &compiled;
-    if (hint.has_value()) request.hint = &*hint;
-    if (!config_.decision_budget.unlimited()) {
-      request.budget = &config_.decision_budget;
-    }
-    request.rng = &solve_rng;
-    const algo::ScheduleResult result =
-        algo::run_and_validate(scheduler, request);
+    const algo::ScheduleResult result = algo::run_and_validate(
+        scheduler,
+        {.problem = &compiled,
+         .hint = hint.has_value() ? &*hint : nullptr,
+         .budget = config_.decision_budget.unlimited()
+                       ? nullptr
+                       : &config_.decision_budget,
+         .rng = &solve_rng});
 
     std::size_t i = 0;
     for (auto& [id, s] : sessions) {
@@ -455,15 +440,7 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
     if (t_fault == t_next) {
       ++state.fault_steps;
       ++report.fault_steps;
-      injector->advance_epoch();
-      mask = injector->availability();
-      if (breaker.enabled()) {
-        breaker.observe_epoch(mask);
-        if (mask.unconstrained() && breaker.blocked_count() > 0) {
-          mask = mec::Availability(servers_.size(), num_subchannels_);
-        }
-        breaker.apply(mask);
-      }
+      mask = advance_fault_step(*injector, breaker);
       StreamEvent event;
       event.type = StreamEventType::kFault;
       event.sim_time_s = t_next;

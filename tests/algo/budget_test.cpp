@@ -77,8 +77,9 @@ TEST(SolveBudgetTest, NegativeDeadlineDegradesToAllLocalFloor) {
   config.budget.max_seconds = -1.0;
   const TsajsScheduler scheduler(config);
   Rng solve_rng(7);
+  const jtora::CompiledProblem problem(scenario);
   const ScheduleResult result =
-      run_and_validate(scheduler, scenario, solve_rng);
+      run_and_validate(scheduler, {.problem = &problem, .rng = &solve_rng});
   EXPECT_GE(result.system_utility, 0.0);
 
   RegistryOptions options;
@@ -86,7 +87,7 @@ TEST(SolveBudgetTest, NegativeDeadlineDegradesToAllLocalFloor) {
   const auto stacked = make_scheduler("tsajs", options);
   Rng stack_rng(7);
   const ScheduleResult stacked_result =
-      run_and_validate(*stacked, scenario, stack_rng);
+      run_and_validate(*stacked, {.problem = &problem, .rng = &stack_rng});
   EXPECT_GE(stacked_result.system_utility, 0.0);
 }
 
@@ -105,8 +106,11 @@ TEST(SolveBudgetTest, ZeroDeadlineZeroIterationsIsUnlimited) {
 
   Rng rng_a(3);
   Rng rng_b(3);
-  const ScheduleResult a = run_and_validate(unbudgeted, scenario, rng_a);
-  const ScheduleResult b = run_and_validate(budgeted, scenario, rng_b);
+  const jtora::CompiledProblem problem(scenario);
+  const ScheduleResult a =
+      run_and_validate(unbudgeted, {.problem = &problem, .rng = &rng_a});
+  const ScheduleResult b =
+      run_and_validate(budgeted, {.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.evaluations, b.evaluations);
   EXPECT_EQ(a.assignment, b.assignment);
@@ -126,8 +130,9 @@ TEST(SolveBudgetTest, TinyIterationBudgetAtU90StaysFeasible) {
 
   // An uncaught throw fails the test, which is exactly the contract.
   Rng solve_rng(7);
+  const jtora::CompiledProblem problem(scenario);
   const ScheduleResult result =
-      run_and_validate(scheduler, scenario, solve_rng);
+      run_and_validate(scheduler, {.problem = &problem, .rng = &solve_rng});
   EXPECT_GE(result.system_utility, 0.0);
   // The budget actually bit: far fewer evaluations than an unbudgeted
   // anneal (which runs thousands of plateaus).
@@ -158,8 +163,9 @@ TEST(SolveBudgetTest, BudgetedSolveDegradesToAllLocalFloor) {
   const TsajsScheduler scheduler(config);
 
   Rng solve_rng(7);
+  const jtora::CompiledProblem problem(scenario);
   const ScheduleResult result =
-      run_and_validate(scheduler, scenario, solve_rng);
+      run_and_validate(scheduler, {.problem = &problem, .rng = &solve_rng});
   EXPECT_EQ(result.system_utility, 0.0);
   EXPECT_EQ(result.assignment.num_offloaded(), 0u);
 }
@@ -178,8 +184,11 @@ TEST(SolveBudgetTest, HugeBudgetIsBitIdenticalToUnlimited) {
 
   Rng rng_a(3);
   Rng rng_b(3);
-  const ScheduleResult a = run_and_validate(unbudgeted, scenario, rng_a);
-  const ScheduleResult b = run_and_validate(budgeted, scenario, rng_b);
+  const jtora::CompiledProblem problem(scenario);
+  const ScheduleResult a =
+      run_and_validate(unbudgeted, {.problem = &problem, .rng = &rng_a});
+  const ScheduleResult b =
+      run_and_validate(budgeted, {.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.evaluations, b.evaluations);
   EXPECT_EQ(a.assignment, b.assignment);
@@ -198,8 +207,9 @@ TEST(SolveBudgetTest, OneMillisecondDeadlineAtU90NeverThrows) {
   const auto scheduler = make_scheduler("tsajs", options);
 
   Rng solve_rng(5);
+  const jtora::CompiledProblem problem(scenario);
   const ScheduleResult result =
-      run_and_validate(*scheduler, scenario, solve_rng);
+      run_and_validate(*scheduler, {.problem = &problem, .rng = &solve_rng});
   EXPECT_GE(result.system_utility, 0.0);
 }
 
@@ -237,14 +247,15 @@ TEST(SolveBudgetTest, WarmStartRespectsIterationBudget) {
 
   const jtora::Assignment hint(scenario);  // all-local hint
   Rng solve_rng(9);
-  const ScheduleResult result =
-      run_and_validate(scheduler, scenario, hint, solve_rng);
+  const jtora::CompiledProblem problem(scenario);
+  const ScheduleResult result = run_and_validate(
+      scheduler, {.problem = &problem, .hint = &hint, .rng = &solve_rng});
   EXPECT_GE(result.system_utility, 0.0);
   EXPECT_LE(result.evaluations, scheduler.config().chain_length + 1);
 }
 
-// BudgetAware contract: schedule_within under a budget equal to the
-// configured one must be bit-identical to a plain schedule() — same RNG
+// BudgetAware contract: a solve with a per-call budget equal to the
+// configured one must be bit-identical to a plain solve() — same RNG
 // stream, same decision, same effort. The sharded wrapper relies on this
 // to hand shards their slices without rebuilding the inner scheduler.
 TEST(SolveBudgetTest, ScheduleWithinEqualsConfiguredBudgetBitwise) {
@@ -259,9 +270,10 @@ TEST(SolveBudgetTest, ScheduleWithinEqualsConfiguredBudgetBitwise) {
 
   Rng rng_a(21);
   Rng rng_b(21);
-  const ScheduleResult plain = scheduler.schedule(problem, rng_a);
-  const ScheduleResult within =
-      scheduler.schedule_within(problem, config.budget, rng_b);
+  const ScheduleResult plain =
+      scheduler.solve({.problem = &problem, .rng = &rng_a});
+  const ScheduleResult within = scheduler.solve(
+      {.problem = &problem, .budget = &config.budget, .rng = &rng_b});
   EXPECT_EQ(plain.assignment, within.assignment);
   EXPECT_EQ(plain.system_utility, within.system_utility);
   EXPECT_EQ(plain.evaluations, within.evaluations);
@@ -278,7 +290,8 @@ TEST(SolveBudgetTest, ScheduleWithinOverridesConfiguredBudget) {
   SolveBudget cap;
   cap.max_iterations = 1;
   Rng rng(7);
-  const ScheduleResult result = scheduler.schedule_within(problem, cap, rng);
+  const ScheduleResult result =
+      scheduler.solve({.problem = &problem, .budget = &cap, .rng = &rng});
   EXPECT_GE(result.system_utility, 0.0);
   EXPECT_LE(result.evaluations, scheduler.config().chain_length + 1);
 }
@@ -296,7 +309,8 @@ TEST(SolveBudgetTest, MultiStartScheduleWithinCapsEveryRestart) {
   SolveBudget cap;
   cap.max_iterations = 1;
   Rng rng(5);
-  const ScheduleResult result = scheduler.schedule_within(problem, cap, rng);
+  const ScheduleResult result =
+      scheduler.solve({.problem = &problem, .budget = &cap, .rng = &rng});
   EXPECT_LE(result.evaluations, 3 * (inner_config.chain_length + 1));
 
   // And the capped parallel path stays bit-identical to the sequential one.
@@ -304,8 +318,10 @@ TEST(SolveBudgetTest, MultiStartScheduleWithinCapsEveryRestart) {
       std::make_unique<TsajsScheduler>(inner_config), 3, 4);
   Rng rng_a(5);
   Rng rng_b(5);
-  const ScheduleResult seq = scheduler.schedule_within(problem, cap, rng_a);
-  const ScheduleResult par = pooled.schedule_within(problem, cap, rng_b);
+  const ScheduleResult seq =
+      scheduler.solve({.problem = &problem, .budget = &cap, .rng = &rng_a});
+  const ScheduleResult par =
+      pooled.solve({.problem = &problem, .budget = &cap, .rng = &rng_b});
   EXPECT_EQ(seq.assignment, par.assignment);
   EXPECT_EQ(seq.system_utility, par.system_utility);
   EXPECT_EQ(seq.evaluations, par.evaluations);

@@ -56,7 +56,9 @@ TEST(CloudSchedulersTest, EveryRegisteredSchemeSolvesACloudScenario) {
   for (const auto& name : names) {
     const auto scheduler = make_scheduler(name);
     Rng rng(7);
-    const ScheduleResult result = run_and_validate(*scheduler, scenario, rng);
+    const jtora::CompiledProblem problem(scenario);
+    const ScheduleResult result =
+        run_and_validate(*scheduler, {.problem = &problem, .rng = &rng});
     result.assignment.check_consistency();
     EXPECT_TRUE(result.assignment.cloud_enabled()) << name;
   }
@@ -79,8 +81,12 @@ TEST(CloudSchedulersTest, ForwardingRaisesUtilityUnderEdgeOverload) {
     const auto scheduler = make_scheduler(name);
     Rng rng_off(31);
     Rng rng_on(31);
-    const ScheduleResult off = run_and_validate(*scheduler, base, rng_off);
-    const ScheduleResult on = run_and_validate(*scheduler, cloudy, rng_on);
+    const jtora::CompiledProblem base_problem(base);
+    const jtora::CompiledProblem cloudy_problem(cloudy);
+    const ScheduleResult off = run_and_validate(
+        *scheduler, {.problem = &base_problem, .rng = &rng_off});
+    const ScheduleResult on = run_and_validate(
+        *scheduler, {.problem = &cloudy_problem, .rng = &rng_on});
     EXPECT_GT(on.system_utility, off.system_utility) << name;
     EXPECT_GT(on.assignment.num_forwarded(), 0u) << name;
   }
@@ -248,19 +254,26 @@ TEST(CloudShardHintTest, ShardedWarmSolveSurvivesCrossShardChurn) {
 
   const auto scheduler = make_scheduler("sharded:tsajs");
   Rng rng1(61);
-  const ScheduleResult first = run_and_validate(*scheduler, epoch1, rng1);
+  const jtora::CompiledProblem epoch1_problem(epoch1);
+  const ScheduleResult first =
+      run_and_validate(*scheduler, {.problem = &epoch1_problem, .rng = &rng1});
   first.assignment.check_consistency();
 
   Rng rng2(62);
-  const ScheduleResult warm =
-      run_and_validate(*scheduler, epoch2, first.assignment, rng2);
+  const jtora::CompiledProblem epoch2_problem(epoch2);
+  const ScheduleResult warm = run_and_validate(
+      *scheduler, {.problem = &epoch2_problem,
+                   .hint = &first.assignment,
+                   .rng = &rng2});
   warm.assignment.check_consistency();
   EXPECT_EQ(warm.assignment.num_users(), users);
 
   // Determinism of the warm path under churn.
   Rng rng3(62);
-  const ScheduleResult again =
-      run_and_validate(*scheduler, epoch2, first.assignment, rng3);
+  const ScheduleResult again = run_and_validate(
+      *scheduler, {.problem = &epoch2_problem,
+                   .hint = &first.assignment,
+                   .rng = &rng3});
   EXPECT_DOUBLE_EQ(warm.system_utility, again.system_utility);
   for (std::size_t u = 0; u < users; ++u) {
     EXPECT_EQ(warm.assignment.slot_of(u), again.assignment.slot_of(u));

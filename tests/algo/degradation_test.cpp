@@ -70,7 +70,9 @@ TEST(DegradationTest, WarmStartSurvivesCombinedChurn) {
   const TsajsScheduler scheduler;
 
   Rng rng1(4);
-  const ScheduleResult first = run_and_validate(scheduler, epoch1, rng1);
+  const jtora::CompiledProblem epoch1_problem(epoch1);
+  const ScheduleResult first =
+      run_and_validate(scheduler, {.problem = &epoch1_problem, .rng = &rng1});
   // Per-population carried slots, as the dynamic simulator keeps them.
   std::vector<std::optional<jtora::Slot>> carried(7);
   for (std::size_t u = 0; u < 6; ++u) {
@@ -108,8 +110,9 @@ TEST(DegradationTest, WarmStartSurvivesCombinedChurn) {
   // The newcomer (index 5) starts local: no carried slot.
 
   Rng rng2(5);
-  const ScheduleResult second =
-      run_and_validate(scheduler, epoch2, hint, rng2);
+  const jtora::CompiledProblem epoch2_problem(epoch2);
+  const ScheduleResult second = run_and_validate(
+      scheduler, {.problem = &epoch2_problem, .hint = &hint, .rng = &rng2});
   for (std::size_t u = 0; u < 6; ++u) {
     const auto slot = second.assignment.slot_of(u);
     if (!slot.has_value()) continue;
@@ -154,9 +157,11 @@ class MaskBlindScheduler final : public Scheduler {
 TEST(ValidationTest, AuditCatchesMisreportedUtility) {
   Rng rng(3);
   const mec::Scenario scenario = make_base(rng);
+  const jtora::CompiledProblem problem(scenario);
   Rng solve_rng(1);
   try {
-    (void)run_and_validate(LyingScheduler(), scenario, solve_rng);
+    (void)run_and_validate(LyingScheduler(),
+                           {.problem = &problem, .rng = &solve_rng});
     FAIL() << "expected ValidationError";
   } catch (const ValidationError& error) {
     ASSERT_EQ(error.violations().size(), 1u);
@@ -172,10 +177,12 @@ TEST(ValidationTest, AuditCatchesAssignmentToMaskedSlot) {
   mask.fail_server(0);
   const mec::Scenario masked = base.with_availability(mask);
 
+  const jtora::CompiledProblem masked_problem(masked);
   const MaskBlindScheduler scheduler(base);
   Rng solve_rng(1);
   try {
-    (void)run_and_validate(scheduler, masked, solve_rng);
+    (void)run_and_validate(scheduler,
+                           {.problem = &masked_problem, .rng = &solve_rng});
     FAIL() << "expected ValidationError";
   } catch (const ValidationError& error) {
     ASSERT_FALSE(error.violations().empty());
@@ -201,8 +208,11 @@ TEST(ValidationTest, AuditRejectsMismatchedShape) {
    private:
     const mec::Scenario& other_;
   };
+  const jtora::CompiledProblem small_problem(small);
   Rng solve_rng(1);
-  EXPECT_THROW((void)run_and_validate(WrongShape(big), small, solve_rng),
+  EXPECT_THROW((void)run_and_validate(
+                   WrongShape(big),
+                   {.problem = &small_problem, .rng = &solve_rng}),
                ValidationError);
 }
 

@@ -39,9 +39,11 @@ TEST(GeneticTest, ConfigValidation) {
 TEST(GeneticTest, ProducesFeasibleScoredResult) {
   const mec::Scenario scenario = make_scenario(1);
   Rng rng(2);
-  const auto result = GeneticScheduler().schedule(scenario, rng);
+  const jtora::CompiledProblem problem(scenario);
+  const auto result =
+      GeneticScheduler().solve({.problem = &problem, .rng = &rng});
   result.assignment.check_consistency();
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   EXPECT_NEAR(result.system_utility,
               evaluator.system_utility(result.assignment), 1e-9);
   EXPECT_GT(result.evaluations, GeneticConfig{}.population);
@@ -54,9 +56,12 @@ TEST(GeneticTest, BeatsRandomOnAverage) {
     const mec::Scenario scenario = make_scenario(seed + 10);
     Rng rng_a(seed);
     Rng rng_b(seed);
-    genetic_total += GeneticScheduler().schedule(scenario, rng_a)
+    const jtora::CompiledProblem problem(scenario);
+    genetic_total += GeneticScheduler().solve(
+        {.problem = &problem, .rng = &rng_a})
                          .system_utility;
-    random_total += RandomScheduler().schedule(scenario, rng_b)
+    random_total += RandomScheduler().solve(
+        {.problem = &problem, .rng = &rng_b})
                         .system_utility;
   }
   EXPECT_GT(genetic_total, random_total);
@@ -72,10 +77,11 @@ TEST(GeneticTest, ElitismIsMonotoneAcrossGenerations) {
   long_run.generations = 50;
   Rng rng_a(7);
   Rng rng_b(7);
-  const double short_utility =
-      GeneticScheduler(short_run).schedule(scenario, rng_a).system_utility;
-  const double long_utility =
-      GeneticScheduler(long_run).schedule(scenario, rng_b).system_utility;
+  const jtora::CompiledProblem problem(scenario);
+  const double short_utility = GeneticScheduler(short_run).solve(
+      {.problem = &problem, .rng = &rng_a}).system_utility;
+  const double long_utility = GeneticScheduler(long_run).solve(
+      {.problem = &problem, .rng = &rng_b}).system_utility;
   EXPECT_GE(long_utility, short_utility - 1e-12);
 }
 
@@ -83,8 +89,9 @@ TEST(GeneticTest, DeterministicGivenSeed) {
   const mec::Scenario scenario = make_scenario(4);
   Rng rng_a(11);
   Rng rng_b(11);
-  const auto a = GeneticScheduler().schedule(scenario, rng_a);
-  const auto b = GeneticScheduler().schedule(scenario, rng_b);
+  const jtora::CompiledProblem problem(scenario);
+  const auto a = GeneticScheduler().solve({.problem = &problem, .rng = &rng_a});
+  const auto b = GeneticScheduler().solve({.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.assignment, b.assignment);
 }
 
@@ -110,10 +117,12 @@ TEST(MultiStartTest, NeverWorseThanSingleRunBestOverSeeds) {
   Rng probe(13);
   const MultiStartScheduler multi(std::make_unique<TsajsScheduler>(config),
                                   3);
-  const auto result = multi.schedule(scenario, rng);
+  const jtora::CompiledProblem problem(scenario);
+  const auto result = multi.solve({.problem = &problem, .rng = &rng});
   for (std::size_t r = 0; r < 3; ++r) {
     Rng child(probe.derive_seed(r));
-    const auto single = TsajsScheduler(config).schedule(scenario, child);
+    const auto single =
+        TsajsScheduler(config).solve({.problem = &problem, .rng = &child});
     EXPECT_GE(result.system_utility, single.system_utility - 1e-12);
   }
 }
@@ -123,11 +132,13 @@ TEST(MultiStartTest, AccumulatesEvaluations) {
   TsajsConfig config;
   config.chain_length = 5;
   Rng rng_single(1);
-  const auto single = TsajsScheduler(config).schedule(scenario, rng_single);
+  const jtora::CompiledProblem problem(scenario);
+  const auto single =
+      TsajsScheduler(config).solve({.problem = &problem, .rng = &rng_single});
   Rng rng_multi(1);
   const MultiStartScheduler multi(std::make_unique<TsajsScheduler>(config),
                                   3);
-  const auto result = multi.schedule(scenario, rng_multi);
+  const auto result = multi.solve({.problem = &problem, .rng = &rng_multi});
   EXPECT_GE(result.evaluations, 2 * single.evaluations);
 }
 

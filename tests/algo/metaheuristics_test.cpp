@@ -38,9 +38,10 @@ TEST(PsoTest, ConfigValidation) {
 TEST(PsoTest, ProducesFeasibleScoredResult) {
   const mec::Scenario scenario = make_scenario(1);
   Rng rng(2);
-  const auto result = PsoScheduler().schedule(scenario, rng);
+  const jtora::CompiledProblem problem(scenario);
+  const auto result = PsoScheduler().solve({.problem = &problem, .rng = &rng});
   result.assignment.check_consistency();
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   EXPECT_NEAR(result.system_utility,
               evaluator.system_utility(result.assignment), 1e-9);
 }
@@ -52,9 +53,12 @@ TEST(PsoTest, BeatsRandomOnAverage) {
     const mec::Scenario scenario = make_scenario(seed + 20);
     Rng rng_a(seed);
     Rng rng_b(seed);
-    pso_total += PsoScheduler().schedule(scenario, rng_a).system_utility;
+    const jtora::CompiledProblem problem(scenario);
+    pso_total += PsoScheduler().solve(
+        {.problem = &problem, .rng = &rng_a}).system_utility;
     random_total +=
-        RandomScheduler().schedule(scenario, rng_b).system_utility;
+        RandomScheduler().solve(
+            {.problem = &problem, .rng = &rng_b}).system_utility;
   }
   EXPECT_GT(pso_total, random_total);
 }
@@ -67,10 +71,11 @@ TEST(PsoTest, PersonalBestNeverRegressesWithMoreIterations) {
   long_run.iterations = 80;
   Rng rng_a(7);
   Rng rng_b(7);
-  const double short_utility =
-      PsoScheduler(short_run).schedule(scenario, rng_a).system_utility;
-  const double long_utility =
-      PsoScheduler(long_run).schedule(scenario, rng_b).system_utility;
+  const jtora::CompiledProblem problem(scenario);
+  const double short_utility = PsoScheduler(short_run).solve(
+      {.problem = &problem, .rng = &rng_a}).system_utility;
+  const double long_utility = PsoScheduler(long_run).solve(
+      {.problem = &problem, .rng = &rng_b}).system_utility;
   EXPECT_GE(long_utility, short_utility - 1e-12);
 }
 
@@ -78,8 +83,12 @@ TEST(PsoTest, DeterministicGivenSeed) {
   const mec::Scenario scenario = make_scenario(4);
   Rng rng_a(11);
   Rng rng_b(11);
-  EXPECT_EQ(PsoScheduler().schedule(scenario, rng_a).assignment,
-            PsoScheduler().schedule(scenario, rng_b).assignment);
+  const jtora::CompiledProblem problem(scenario);
+  const ScheduleResult a =
+      PsoScheduler().solve({.problem = &problem, .rng = &rng_a});
+  const ScheduleResult b =
+      PsoScheduler().solve({.problem = &problem, .rng = &rng_b});
+  EXPECT_EQ(a.assignment, b.assignment);
 }
 
 TEST(TabuTest, ConfigValidation) {
@@ -95,9 +104,10 @@ TEST(TabuTest, ConfigValidation) {
 TEST(TabuTest, ProducesFeasibleScoredResult) {
   const mec::Scenario scenario = make_scenario(5);
   Rng rng(6);
-  const auto result = TabuScheduler().schedule(scenario, rng);
+  const jtora::CompiledProblem problem(scenario);
+  const auto result = TabuScheduler().solve({.problem = &problem, .rng = &rng});
   result.assignment.check_consistency();
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   EXPECT_NEAR(result.system_utility,
               evaluator.system_utility(result.assignment), 1e-9);
 }
@@ -107,7 +117,10 @@ TEST(TabuTest, StartsLocalSoUtilityNonNegative) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const mec::Scenario scenario = make_scenario(seed + 40);
     Rng rng(seed);
-    EXPECT_GE(TabuScheduler().schedule(scenario, rng).system_utility, 0.0);
+    const jtora::CompiledProblem problem(scenario);
+    const ScheduleResult result =
+        TabuScheduler().solve({.problem = &problem, .rng = &rng});
+    EXPECT_GE(result.system_utility, 0.0);
   }
 }
 
@@ -118,9 +131,12 @@ TEST(TabuTest, BeatsRandomOnAverage) {
     const mec::Scenario scenario = make_scenario(seed + 60);
     Rng rng_a(seed);
     Rng rng_b(seed);
-    tabu_total += TabuScheduler().schedule(scenario, rng_a).system_utility;
+    const jtora::CompiledProblem problem(scenario);
+    tabu_total += TabuScheduler().solve(
+        {.problem = &problem, .rng = &rng_a}).system_utility;
     random_total +=
-        RandomScheduler().schedule(scenario, rng_b).system_utility;
+        RandomScheduler().solve(
+            {.problem = &problem, .rng = &rng_b}).system_utility;
   }
   EXPECT_GT(tabu_total, random_total);
 }
@@ -129,8 +145,12 @@ TEST(TabuTest, DeterministicGivenSeed) {
   const mec::Scenario scenario = make_scenario(8);
   Rng rng_a(13);
   Rng rng_b(13);
-  EXPECT_EQ(TabuScheduler().schedule(scenario, rng_a).assignment,
-            TabuScheduler().schedule(scenario, rng_b).assignment);
+  const jtora::CompiledProblem problem(scenario);
+  const ScheduleResult a =
+      TabuScheduler().solve({.problem = &problem, .rng = &rng_a});
+  const ScheduleResult b =
+      TabuScheduler().solve({.problem = &problem, .rng = &rng_b});
+  EXPECT_EQ(a.assignment, b.assignment);
 }
 
 TEST(MetaheuristicRegistryTest, NewNamesResolve) {

@@ -34,8 +34,11 @@ TEST(MultiStartParallelTest, BitIdenticalToSequential) {
 
   Rng rng_seq(2025);
   Rng rng_par(2025);
-  const ScheduleResult a = sequential.schedule(scenario, rng_seq);
-  const ScheduleResult b = parallel.schedule(scenario, rng_par);
+  const jtora::CompiledProblem problem(scenario);
+  const ScheduleResult a =
+      sequential.solve({.problem = &problem, .rng = &rng_seq});
+  const ScheduleResult b =
+      parallel.solve({.problem = &problem, .rng = &rng_par});
 
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);  // bit-identical, not NEAR
@@ -51,8 +54,10 @@ TEST(MultiStartParallelTest, HardwareThreadsAlsoBitIdentical) {
   const MultiStartScheduler hardware(fast_tsajs(), 5, /*num_threads=*/0);
   Rng rng_a(11);
   Rng rng_b(11);
-  const ScheduleResult a = sequential.schedule(scenario, rng_a);
-  const ScheduleResult b = hardware.schedule(scenario, rng_b);
+  const jtora::CompiledProblem problem(scenario);
+  const ScheduleResult a =
+      sequential.solve({.problem = &problem, .rng = &rng_a});
+  const ScheduleResult b = hardware.solve({.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
 }
@@ -64,8 +69,9 @@ TEST(MultiStartParallelTest, RepeatedParallelRunsAreStable) {
   const MultiStartScheduler parallel(fast_tsajs(), 6, 3);
   Rng rng_a(99);
   Rng rng_b(99);
-  const ScheduleResult a = parallel.schedule(scenario, rng_a);
-  const ScheduleResult b = parallel.schedule(scenario, rng_b);
+  const jtora::CompiledProblem problem(scenario);
+  const ScheduleResult a = parallel.solve({.problem = &problem, .rng = &rng_a});
+  const ScheduleResult b = parallel.solve({.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.evaluations, b.evaluations);
@@ -80,8 +86,10 @@ TEST(MultiStartParallelTest, RegistryThreadsOptionWiresThrough) {
   const mec::Scenario scenario = make_scenario(6, 5);
   Rng rng_par(17);
   Rng rng_seq(17);
-  const auto par = scheduler->schedule(scenario, rng_par);
-  const auto seq = make_scheduler("tsajs-x4")->schedule(scenario, rng_seq);
+  const jtora::CompiledProblem problem(scenario);
+  const auto par = scheduler->solve({.problem = &problem, .rng = &rng_par});
+  const auto seq =
+      make_scheduler("tsajs-x4")->solve({.problem = &problem, .rng = &rng_seq});
   EXPECT_EQ(par.assignment, seq.assignment);
   EXPECT_EQ(par.system_utility, seq.system_utility);
 }

@@ -55,8 +55,9 @@ TEST(RunAndValidateTest, FillsSolveSecondsAndChecksUtility) {
   const mec::Scenario scenario = make_scenario();
   const auto scheduler = make_scheduler("greedy");
   Rng rng(4);
+  const jtora::CompiledProblem problem(scenario);
   const ScheduleResult result =
-      run_and_validate(*scheduler, scenario, rng);
+      run_and_validate(*scheduler, {.problem = &problem, .rng = &rng});
   EXPECT_GE(result.solve_seconds, 0.0);
   EXPECT_GT(result.evaluations, 0u);
 }

@@ -32,16 +32,17 @@ TEST(ExhaustiveTest, BeatsOrMatchesEveryOtherScheme) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const mec::Scenario scenario = small_scenario(seed);
     Rng rng(seed + 10);
-    const double optimum =
-        ExhaustiveScheduler().schedule(scenario, rng).system_utility;
-    const double tsajs =
-        TsajsScheduler().schedule(scenario, rng).system_utility;
-    const double hjtora =
-        HjtoraScheduler().schedule(scenario, rng).system_utility;
-    const double greedy =
-        GreedyScheduler().schedule(scenario, rng).system_utility;
-    const double local =
-        LocalSearchScheduler().schedule(scenario, rng).system_utility;
+    const jtora::CompiledProblem problem(scenario);
+    const double optimum = ExhaustiveScheduler().solve(
+        {.problem = &problem, .rng = &rng}).system_utility;
+    const double tsajs = TsajsScheduler().solve(
+        {.problem = &problem, .rng = &rng}).system_utility;
+    const double hjtora = HjtoraScheduler().solve(
+        {.problem = &problem, .rng = &rng}).system_utility;
+    const double greedy = GreedyScheduler().solve(
+        {.problem = &problem, .rng = &rng}).system_utility;
+    const double local = LocalSearchScheduler().solve(
+        {.problem = &problem, .rng = &rng}).system_utility;
     const double slack = 1e-9 * std::max(1.0, std::fabs(optimum));
     EXPECT_LE(tsajs, optimum + slack) << "seed " << seed;
     EXPECT_LE(hjtora, optimum + slack) << "seed " << seed;
@@ -53,7 +54,9 @@ TEST(ExhaustiveTest, BeatsOrMatchesEveryOtherScheme) {
 TEST(ExhaustiveTest, FindsPositiveUtilityOnEasyInstance) {
   const mec::Scenario scenario = small_scenario(5);
   Rng rng(6);
-  const auto result = ExhaustiveScheduler().schedule(scenario, rng);
+  const jtora::CompiledProblem problem(scenario);
+  const auto result =
+      ExhaustiveScheduler().solve({.problem = &problem, .rng = &rng});
   EXPECT_GT(result.system_utility, 0.0);
   EXPECT_GT(result.assignment.num_offloaded(), 0u);
 }
@@ -62,7 +65,8 @@ TEST(ExhaustiveTest, LeafBudgetGuardTrips) {
   const mec::Scenario scenario = small_scenario(7);
   Rng rng(8);
   const ExhaustiveScheduler tiny_budget(/*max_leaves=*/10);
-  EXPECT_THROW((void)tiny_budget.schedule(scenario, rng),
+  const jtora::CompiledProblem problem(scenario);
+  EXPECT_THROW((void)tiny_budget.solve({.problem = &problem, .rng = &rng}),
                InvalidArgumentError);
 }
 
@@ -75,10 +79,11 @@ TEST(TsajsTest, NearOptimalOnSmallInstances) {
     const mec::Scenario scenario = small_scenario(seed + 100, 2000.0);
     Rng rng_exh(seed + 1000);
     Rng rng_tsajs(seed + 2000);
-    const double optimum =
-        ExhaustiveScheduler().schedule(scenario, rng_exh).system_utility;
-    const double heuristic =
-        TsajsScheduler().schedule(scenario, rng_tsajs).system_utility;
+    const jtora::CompiledProblem problem(scenario);
+    const double optimum = ExhaustiveScheduler().solve(
+        {.problem = &problem, .rng = &rng_exh}).system_utility;
+    const double heuristic = TsajsScheduler().solve(
+        {.problem = &problem, .rng = &rng_tsajs}).system_utility;
     ASSERT_GT(optimum, 0.0);
     if (heuristic >= 0.95 * optimum) ++close_calls;
   }
@@ -92,7 +97,9 @@ TEST(TsajsTest, UtilityNeverNegative) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const mec::Scenario scenario = small_scenario(seed + 300);
     Rng rng(seed);
-    const auto result = TsajsScheduler().schedule(scenario, rng);
+    const jtora::CompiledProblem problem(scenario);
+    const auto result =
+        TsajsScheduler().solve({.problem = &problem, .rng = &rng});
     EXPECT_GE(result.system_utility, 0.0);
   }
 }
@@ -101,8 +108,9 @@ TEST(TsajsTest, DeterministicGivenSeed) {
   const mec::Scenario scenario = small_scenario(11);
   Rng rng_a(7);
   Rng rng_b(7);
-  const auto a = TsajsScheduler().schedule(scenario, rng_a);
-  const auto b = TsajsScheduler().schedule(scenario, rng_b);
+  const jtora::CompiledProblem problem(scenario);
+  const auto a = TsajsScheduler().solve({.problem = &problem, .rng = &rng_a});
+  const auto b = TsajsScheduler().solve({.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.assignment, b.assignment);
 }
@@ -120,8 +128,11 @@ TEST(TsajsTest, LongerChainDoesNotHurtOnAverage) {
     c30.chain_length = 30;
     Rng rng_a(seed);
     Rng rng_b(seed);
-    total10 += TsajsScheduler(c10).schedule(scenario, rng_a).system_utility;
-    total30 += TsajsScheduler(c30).schedule(scenario, rng_b).system_utility;
+    const jtora::CompiledProblem problem(scenario);
+    total10 += TsajsScheduler(c10).solve(
+        {.problem = &problem, .rng = &rng_a}).system_utility;
+    total30 += TsajsScheduler(c30).solve(
+        {.problem = &problem, .rng = &rng_b}).system_utility;
   }
   EXPECT_GE(total30, total10 * 0.99);
 }
@@ -148,7 +159,8 @@ TEST(TsajsTest, GeometricCoolingAblationRuns) {
   EXPECT_EQ(scheduler.name(), "tsajs-geo");
   const mec::Scenario scenario = small_scenario(13);
   Rng rng(1);
-  const auto result = scheduler.schedule(scenario, rng);
+  const jtora::CompiledProblem problem(scenario);
+  const auto result = scheduler.solve({.problem = &problem, .rng = &rng});
   EXPECT_GE(result.system_utility, 0.0);
 }
 
@@ -162,8 +174,10 @@ TEST(GreedyTest, RespectsSlotCapacity) {
                                   .num_subchannels(2)
                                   .build(rng_a);
   Rng rng(2);
-  EXPECT_LE(GreedyScheduler().schedule(tight, rng).assignment.num_offloaded(),
-            4u);
+  const jtora::CompiledProblem tight_problem(tight);
+  const ScheduleResult result =
+      GreedyScheduler().solve({.problem = &tight_problem, .rng = &rng});
+  EXPECT_LE(result.assignment.num_offloaded(), 4u);
 }
 
 TEST(GreedyTest, OffloadsOnlyBeneficialUsers) {
@@ -172,9 +186,11 @@ TEST(GreedyTest, OffloadsOnlyBeneficialUsers) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const mec::Scenario scenario = small_scenario(seed + 40);
     Rng rng(seed);
-    const auto result = GreedyScheduler().schedule(scenario, rng);
+    const jtora::CompiledProblem problem(scenario);
+    const auto result =
+        GreedyScheduler().solve({.problem = &problem, .rng = &rng});
     EXPECT_GE(result.system_utility, 0.0) << "seed " << seed;
-    const jtora::UtilityEvaluator evaluator(scenario);
+    const jtora::UtilityEvaluator evaluator(problem);
     const jtora::Evaluation eval = evaluator.evaluate(result.assignment);
     for (std::size_t u = 0; u < scenario.num_users(); ++u) {
       if (eval.users[u].offloaded) {
@@ -188,8 +204,9 @@ TEST(GreedyTest, DeterministicWithoutRng) {
   const mec::Scenario scenario = small_scenario(15);
   Rng rng_a(1);
   Rng rng_b(999);
-  const auto a = GreedyScheduler().schedule(scenario, rng_a);
-  const auto b = GreedyScheduler().schedule(scenario, rng_b);
+  const jtora::CompiledProblem problem(scenario);
+  const auto a = GreedyScheduler().solve({.problem = &problem, .rng = &rng_a});
+  const auto b = GreedyScheduler().solve({.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.assignment, b.assignment);
 }
 
@@ -197,7 +214,9 @@ TEST(GreedyTest, EachUserGetsItsStrongestAvailableSlot) {
   // The first user in signal order must sit on its globally strongest slot.
   const mec::Scenario scenario = small_scenario(17);
   Rng rng(1);
-  const auto result = GreedyScheduler().schedule(scenario, rng);
+  const jtora::CompiledProblem problem(scenario);
+  const auto result =
+      GreedyScheduler().solve({.problem = &problem, .rng = &rng});
   // Find the globally strongest (u, s, j).
   double best = -1.0;
   std::size_t bu = 0, bs = 0, bj = 0;
@@ -225,10 +244,12 @@ TEST(LocalSearchTest, ImprovesOverItsRandomStart) {
   Rng rng_init(5);
   const jtora::Assignment start =
       random_feasible_assignment(scenario, rng_init, 0.5);
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::CompiledProblem problem(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   const double start_utility = evaluator.system_utility(start);
   Rng rng(5);  // same stream: the scheduler draws the same start
-  const auto result = LocalSearchScheduler(config).schedule(scenario, rng);
+  const auto result =
+      LocalSearchScheduler(config).solve({.problem = &problem, .rng = &rng});
   EXPECT_GE(result.system_utility, start_utility);
 }
 
@@ -238,7 +259,9 @@ TEST(LocalSearchTest, RespectsIterationBudget) {
   config.max_iterations = 50;
   config.patience = 50;
   Rng rng(6);
-  const auto result = LocalSearchScheduler(config).schedule(scenario, rng);
+  const jtora::CompiledProblem problem(scenario);
+  const auto result =
+      LocalSearchScheduler(config).solve({.problem = &problem, .rng = &rng});
   EXPECT_LE(result.evaluations, 51u);
 }
 
@@ -257,7 +280,9 @@ TEST(HjtoraTest, ProducesNonNegativeUtility) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const mec::Scenario scenario = small_scenario(seed + 700);
     Rng rng(seed);
-    const auto result = HjtoraScheduler().schedule(scenario, rng);
+    const jtora::CompiledProblem problem(scenario);
+    const auto result =
+        HjtoraScheduler().solve({.problem = &problem, .rng = &rng});
     EXPECT_GE(result.system_utility, 0.0);
   }
 }
@@ -266,8 +291,9 @@ TEST(HjtoraTest, DeterministicWithoutRng) {
   const mec::Scenario scenario = small_scenario(23);
   Rng rng_a(1);
   Rng rng_b(2);
-  const auto a = HjtoraScheduler().schedule(scenario, rng_a);
-  const auto b = HjtoraScheduler().schedule(scenario, rng_b);
+  const jtora::CompiledProblem problem(scenario);
+  const auto a = HjtoraScheduler().solve({.problem = &problem, .rng = &rng_a});
+  const auto b = HjtoraScheduler().solve({.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.assignment, b.assignment);
 }
 
@@ -277,8 +303,11 @@ TEST(HjtoraTest, AtLeastAsGoodAsGreedyOnAverage) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const mec::Scenario scenario = small_scenario(seed + 900, 2000.0);
     Rng rng(seed);
-    hjtora_total += HjtoraScheduler().schedule(scenario, rng).system_utility;
-    greedy_total += GreedyScheduler().schedule(scenario, rng).system_utility;
+    const jtora::CompiledProblem problem(scenario);
+    hjtora_total += HjtoraScheduler().solve(
+        {.problem = &problem, .rng = &rng}).system_utility;
+    greedy_total += GreedyScheduler().solve(
+        {.problem = &problem, .rng = &rng}).system_utility;
   }
   EXPECT_GE(hjtora_total, greedy_total);
 }
@@ -286,9 +315,11 @@ TEST(HjtoraTest, AtLeastAsGoodAsGreedyOnAverage) {
 TEST(RandomSchedulerTest, FeasibleAndScored) {
   const mec::Scenario scenario = small_scenario(25);
   Rng rng(9);
-  const auto result = RandomScheduler().schedule(scenario, rng);
+  const jtora::CompiledProblem problem(scenario);
+  const auto result =
+      RandomScheduler().solve({.problem = &problem, .rng = &rng});
   result.assignment.check_consistency();
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   EXPECT_NEAR(result.system_utility,
               evaluator.system_utility(result.assignment), 1e-9);
 }

@@ -46,8 +46,8 @@ TEST(ShardedSchedulerTest, OneShardBitIdenticalToInner) {
   const TsajsScheduler inner(small_tsajs());
   Rng rng_a(42);
   Rng rng_b(42);
-  const ScheduleResult a = sharded.schedule(problem, rng_a);
-  const ScheduleResult b = inner.schedule(problem, rng_b);
+  const ScheduleResult a = sharded.solve({.problem = &problem, .rng = &rng_a});
+  const ScheduleResult b = inner.solve({.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);  // bitwise
   EXPECT_EQ(a.evaluations, b.evaluations);
@@ -60,8 +60,8 @@ TEST(ShardedSchedulerTest, SingleSiteFallsThrough) {
   const GreedyScheduler inner;
   Rng rng_a(7);
   Rng rng_b(7);
-  EXPECT_EQ(sharded.schedule(problem, rng_a).assignment,
-            inner.schedule(problem, rng_b).assignment);
+  EXPECT_EQ(sharded.solve({.problem = &problem, .rng = &rng_a}).assignment,
+            inner.solve({.problem = &problem, .rng = &rng_b}).assignment);
 }
 
 TEST(ShardedSchedulerTest, MultiShardSolveValidatesAndIsDeterministic) {
@@ -75,11 +75,13 @@ TEST(ShardedSchedulerTest, MultiShardSolveValidatesAndIsDeterministic) {
   Rng rng_a(5);
   // run_and_validate audits feasibility, availability, and the reported
   // utility against an independent evaluation.
-  const ScheduleResult a = run_and_validate(scheduler, problem, rng_a);
+  const ScheduleResult a =
+      run_and_validate(scheduler, {.problem = &problem, .rng = &rng_a});
   EXPECT_GT(a.evaluations, 0u);
 
   Rng rng_b(5);
-  const ScheduleResult b = run_and_validate(scheduler, problem, rng_b);
+  const ScheduleResult b =
+      run_and_validate(scheduler, {.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
 }
@@ -96,8 +98,8 @@ TEST(ShardedSchedulerTest, ThreadCountDoesNotChangeTheResult) {
   const ShardedScheduler four(std::make_unique<GreedyScheduler>(), pooled);
   Rng rng_a(9);
   Rng rng_b(9);
-  const ScheduleResult a = one.schedule(problem, rng_a);
-  const ScheduleResult b = four.schedule(problem, rng_b);
+  const ScheduleResult a = one.solve({.problem = &problem, .rng = &rng_a});
+  const ScheduleResult b = four.solve({.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
 }
@@ -115,8 +117,10 @@ TEST(ShardedSchedulerTest, FixupNeverWorseThanPlainMerge) {
   const ShardedScheduler deep(std::make_unique<GreedyScheduler>(), more);
   Rng rng_a(11);
   Rng rng_b(11);
-  const double u1 = base.schedule(problem, rng_a).system_utility;
-  const double u4 = deep.schedule(problem, rng_b).system_utility;
+  const double u1 =
+      base.solve({.problem = &problem, .rng = &rng_a}).system_utility;
+  const double u4 =
+      deep.solve({.problem = &problem, .rng = &rng_b}).system_utility;
   EXPECT_GE(u4, u1 - 1e-9);
 }
 
@@ -131,7 +135,8 @@ TEST(ShardedSchedulerTest, TinyWallClockBudgetStillFeasible) {
   Rng rng(13);
   // The merged shard solution is feasible on its own, so validation holds
   // even when the budget cancels the fixup.
-  const ScheduleResult result = run_and_validate(scheduler, problem, rng);
+  const ScheduleResult result =
+      run_and_validate(scheduler, {.problem = &problem, .rng = &rng});
   result.assignment.check_consistency();
 }
 
@@ -147,7 +152,8 @@ TEST(ShardedSchedulerTest, ParallelSolveBitIdenticalAt1_2_8Threads) {
   const ShardedScheduler sequential(
       std::make_unique<TsajsScheduler>(small_tsajs()), base);
   Rng rng_ref(31);
-  const ScheduleResult reference = sequential.schedule(problem, rng_ref);
+  const ScheduleResult reference =
+      sequential.solve({.problem = &problem, .rng = &rng_ref});
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     SCOPED_TRACE("threads: " + std::to_string(threads));
     ShardedConfig pooled = base;
@@ -155,7 +161,8 @@ TEST(ShardedSchedulerTest, ParallelSolveBitIdenticalAt1_2_8Threads) {
     const ShardedScheduler parallel(
         std::make_unique<TsajsScheduler>(small_tsajs()), pooled);
     Rng rng(31);
-    const ScheduleResult result = parallel.schedule(problem, rng);
+    const ScheduleResult result =
+        parallel.solve({.problem = &problem, .rng = &rng});
     EXPECT_EQ(result.assignment, reference.assignment);
     EXPECT_EQ(result.system_utility, reference.system_utility);  // bitwise
     EXPECT_EQ(result.evaluations, reference.evaluations);
@@ -182,8 +189,10 @@ TEST(ShardedSchedulerTest, IterationBudgetSplitIsDeterministicAcrossThreads) {
                               config);
   Rng rng_a(17);
   Rng rng_b(17);
-  const ScheduleResult a = run_and_validate(one, problem, rng_a);
-  const ScheduleResult b = run_and_validate(four, problem, rng_b);
+  const ScheduleResult a =
+      run_and_validate(one, {.problem = &problem, .rng = &rng_a});
+  const ScheduleResult b =
+      run_and_validate(four, {.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.evaluations, b.evaluations);
@@ -208,14 +217,19 @@ TEST(ShardedSchedulerTest, WarmStartIsDeterministicAndThreadInvariant) {
       std::make_unique<TsajsScheduler>(small_tsajs()), config);
 
   Rng cold_rng(41);
-  const ScheduleResult cold = scheduler.schedule(problem, cold_rng);
+  const ScheduleResult cold =
+      scheduler.solve({.problem = &problem, .rng = &cold_rng});
 
   Rng rng_a(43);
-  const ScheduleResult warm_a =
-      run_and_validate(scheduler, problem, cold.assignment, rng_a);
+  const ScheduleResult warm_a = run_and_validate(
+      scheduler, {.problem = &problem,
+                  .hint = &cold.assignment,
+                  .rng = &rng_a});
   Rng rng_b(43);
-  const ScheduleResult warm_b =
-      run_and_validate(scheduler, problem, cold.assignment, rng_b);
+  const ScheduleResult warm_b = run_and_validate(
+      scheduler, {.problem = &problem,
+                  .hint = &cold.assignment,
+                  .rng = &rng_b});
   EXPECT_EQ(warm_a.assignment, warm_b.assignment);
   EXPECT_EQ(warm_a.system_utility, warm_b.system_utility);
 
@@ -223,14 +237,14 @@ TEST(ShardedSchedulerTest, WarmStartIsDeterministicAndThreadInvariant) {
   const ShardedScheduler pooled(
       std::make_unique<TsajsScheduler>(small_tsajs()), config);
   Rng rng_c(43);
-  const ScheduleResult warm_c =
-      run_and_validate(pooled, problem, cold.assignment, rng_c);
+  const ScheduleResult warm_c = run_and_validate(
+      pooled, {.problem = &problem, .hint = &cold.assignment, .rng = &rng_c});
   EXPECT_EQ(warm_c.assignment, warm_a.assignment);
   EXPECT_EQ(warm_c.system_utility, warm_a.system_utility);
 }
 
 // The epoch cache (partition, coloring, per-shard compilations held across
-// schedule() calls) must be bitwise-invisible: a scheduler that solved
+// solve() calls) must be bitwise-invisible: a scheduler that solved
 // other scenarios first returns exactly what a fresh instance returns.
 TEST(ShardedSchedulerTest, EpochCacheReuseIsBitwiseInvisible) {
   const mec::Scenario first = make_scenario(24, 40);
@@ -245,12 +259,15 @@ TEST(ShardedSchedulerTest, EpochCacheReuseIsBitwiseInvisible) {
       std::make_unique<TsajsScheduler>(small_tsajs()), config);
 
   Rng warmup(3);
-  (void)reused.schedule(problem_a, warmup);  // populate the cache
+  // Populate the cache.
+  (void)reused.solve({.problem = &problem_a, .rng = &warmup});
 
   Rng rng_a(55);
   Rng rng_b(55);
-  const ScheduleResult cached = reused.schedule(problem_b, rng_a);
-  const ScheduleResult cold = fresh.schedule(problem_b, rng_b);
+  const ScheduleResult cached =
+      reused.solve({.problem = &problem_b, .rng = &rng_a});
+  const ScheduleResult cold =
+      fresh.solve({.problem = &problem_b, .rng = &rng_b});
   EXPECT_EQ(cached.assignment, cold.assignment);
   EXPECT_EQ(cached.system_utility, cold.system_utility);
   EXPECT_EQ(cached.evaluations, cold.evaluations);
@@ -271,17 +288,22 @@ TEST(ShardedSchedulerTest, SingleShardPassthroughAppliesBudgetAndHint) {
 
   Rng rng_a(61);
   Rng rng_b(61);
-  const ScheduleResult a = sharded.schedule(problem, rng_a);
-  const ScheduleResult b = inner.schedule_within(problem, config.budget, rng_b);
+  const ScheduleResult a = sharded.solve({.problem = &problem, .rng = &rng_a});
+  const ScheduleResult b = inner.solve(
+      {.problem = &problem, .budget = &config.budget, .rng = &rng_b});
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.evaluations, b.evaluations);
 
   const jtora::Assignment hint(scenario);  // all-local
   Rng rng_c(62);
   Rng rng_d(62);
-  const ScheduleResult c = sharded.schedule_from(problem, hint, rng_c);
-  const ScheduleResult d =
-      inner.schedule_from_within(problem, hint, config.budget, rng_d);
+  const ScheduleResult c =
+      sharded.solve({.problem = &problem, .hint = &hint, .rng = &rng_c});
+  const ScheduleResult d = inner.solve(
+      {.problem = &problem,
+       .hint = &hint,
+       .budget = &config.budget,
+       .rng = &rng_d});
   EXPECT_EQ(c.assignment, d.assignment);
   EXPECT_EQ(c.evaluations, d.evaluations);
 }
@@ -301,8 +323,9 @@ TEST(ShardedSchedulerTest, RegistryShardThreadsAreBitwiseInvisible) {
   const auto pooled = make_scheduler("sharded:tsajs", options);
   Rng rng_a(71);
   Rng rng_b(71);
-  const ScheduleResult a = sequential->schedule(problem, rng_a);
-  const ScheduleResult b = pooled->schedule(problem, rng_b);
+  const ScheduleResult a =
+      sequential->solve({.problem = &problem, .rng = &rng_a});
+  const ScheduleResult b = pooled->solve({.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.evaluations, b.evaluations);
@@ -350,7 +373,7 @@ TEST(ShardedSchedulerTest, HedgedRetriesBitIdenticalAt1_2_8Threads) {
       std::make_unique<TsajsScheduler>(small_tsajs()), base);
   Rng rng_ref(37);
   const ScheduleResult reference =
-      run_and_validate(sequential, problem, rng_ref);
+      run_and_validate(sequential, {.problem = &problem, .rng = &rng_ref});
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     SCOPED_TRACE("threads: " + std::to_string(threads));
     ShardedConfig pooled = base;
@@ -358,7 +381,8 @@ TEST(ShardedSchedulerTest, HedgedRetriesBitIdenticalAt1_2_8Threads) {
     const ShardedScheduler parallel(
         std::make_unique<TsajsScheduler>(small_tsajs()), pooled);
     Rng rng(37);
-    const ScheduleResult result = run_and_validate(parallel, problem, rng);
+    const ScheduleResult result =
+        run_and_validate(parallel, {.problem = &problem, .rng = &rng});
     EXPECT_EQ(result.assignment, reference.assignment);
     EXPECT_EQ(result.system_utility, reference.system_utility);  // bitwise
     EXPECT_EQ(result.evaluations, reference.evaluations);
@@ -370,7 +394,8 @@ TEST(ShardedSchedulerTest, HedgedRetriesBitIdenticalAt1_2_8Threads) {
   const ShardedScheduler plain(
       std::make_unique<TsajsScheduler>(small_tsajs()), unhedged);
   Rng rng_plain(37);
-  const ScheduleResult no_hedge = run_and_validate(plain, problem, rng_plain);
+  const ScheduleResult no_hedge =
+      run_and_validate(plain, {.problem = &problem, .rng = &rng_plain});
   EXPECT_NE(no_hedge.evaluations, reference.evaluations);
 }
 
@@ -388,7 +413,8 @@ TEST(ShardedSchedulerTest, WallClockHedgeFallsBackToGreedy) {
   const ShardedScheduler scheduler(
       std::make_unique<TsajsScheduler>(small_tsajs()), config);
   Rng rng(41);
-  const ScheduleResult result = run_and_validate(scheduler, problem, rng);
+  const ScheduleResult result =
+      run_and_validate(scheduler, {.problem = &problem, .rng = &rng});
   result.assignment.check_consistency();
 }
 
@@ -407,8 +433,9 @@ TEST(ShardedSchedulerTest, RegistryHedgeFactorStaysThreadInvariant) {
   const auto pooled = make_scheduler("sharded:tsajs", options);
   Rng rng_a(73);
   Rng rng_b(73);
-  const ScheduleResult a = sequential->schedule(problem, rng_a);
-  const ScheduleResult b = pooled->schedule(problem, rng_b);
+  const ScheduleResult a =
+      sequential->solve({.problem = &problem, .rng = &rng_a});
+  const ScheduleResult b = pooled->solve({.problem = &problem, .rng = &rng_b});
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.system_utility, b.system_utility);
   EXPECT_EQ(a.evaluations, b.evaluations);

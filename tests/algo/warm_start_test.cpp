@@ -1,5 +1,5 @@
 // Warm-start capability: repair_hint feasibility under arbitrary churn,
-// schedule_from determinism, and the run_and_validate hint overload.
+// hinted-solve determinism, and run_and_validate with a hint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include "algo/scheduler.h"
 #include "algo/tsajs.h"
 #include "jtora/utility.h"
+#include "mec/availability.h"
 #include "mec/scenario_builder.h"
 
 namespace tsajs::algo {
@@ -66,6 +67,43 @@ TEST(RepairHintTest, FeasibleUnderArbitraryChurn) {
       }
     }
   }
+
+  // Pinned inputs for the carry rule behind repair_hint (algo::carry_slot,
+  // shared with the simulators' warm hints), on a cloud-enabled 3x2 grid
+  // whose slot (2, 1) is blacked out and whose server-1 backhaul is dead.
+  Rng cloud_rng(400);
+  const mec::Scenario cloudy = mec::ScenarioBuilder()
+                                   .num_users(6)
+                                   .num_servers(3)
+                                   .num_subchannels(2)
+                                   .cloud(100e9, 200e6, 0.005)
+                                   .build(cloud_rng);
+  mec::Availability mask(3, 2);
+  mask.block_slot(2, 1);
+  mask.fail_backhaul(1);
+  const mec::Scenario faulted = cloudy.with_availability(mask);
+  jtora::Assignment hint(cloudy);
+  hint.offload(0, 0, 0);  // forwarded over a live backhaul: kept as is
+  hint.offload(1, 1, 0);  // forwarded over the dead backhaul
+  hint.offload(2, 2, 1);  // on the masked slot
+  hint.set_forwarded(0, true);
+  hint.set_forwarded(1, true);
+  hint.set_forwarded(2, true);
+  jtora::Assignment repaired = repair_hint(faulted, hint);
+  repaired.check_consistency();
+  EXPECT_EQ(repaired.slot_of(0), (jtora::Slot{0, 0}));
+  EXPECT_TRUE(repaired.is_forwarded(0));
+  // Dead backhaul: the slot survives, the cloud placement is recalled.
+  EXPECT_EQ(repaired.slot_of(1), (jtora::Slot{1, 0}));
+  EXPECT_FALSE(repaired.is_forwarded(1));
+  // Masked slot: evicted to local.
+  EXPECT_FALSE(repaired.is_offloaded(2));
+  // Contested slot: two carried users claim (1, 1); the lower index wins.
+  carry_slot(repaired, 3, jtora::Slot{1, 1}, false);
+  carry_slot(repaired, 4, jtora::Slot{1, 1}, false);
+  repaired.check_consistency();
+  EXPECT_EQ(repaired.slot_of(3), (jtora::Slot{1, 1}));
+  EXPECT_FALSE(repaired.is_offloaded(4));
 }
 
 TEST(RepairHintTest, IdentityWhenNothingChanged) {
@@ -90,8 +128,11 @@ TEST(WarmStartTest, ScheduleFromIsDeterministic) {
   const TsajsScheduler scheduler(config);
   Rng rng_a(21);
   Rng rng_b(21);
-  const ScheduleResult a = scheduler.schedule_from(scenario, hint, rng_a);
-  const ScheduleResult b = scheduler.schedule_from(scenario, hint, rng_b);
+  const jtora::CompiledProblem problem(scenario);
+  const ScheduleResult a =
+      scheduler.solve({.problem = &problem, .hint = &hint, .rng = &rng_a});
+  const ScheduleResult b =
+      scheduler.solve({.problem = &problem, .hint = &hint, .rng = &rng_b});
   EXPECT_DOUBLE_EQ(a.system_utility, b.system_utility);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
     EXPECT_EQ(a.assignment.slot_of(u), b.assignment.slot_of(u));
@@ -106,7 +147,8 @@ TEST(WarmStartTest, WarmResultNeverBelowRepairedHint) {
   Rng hint_rng(9);
   const jtora::Assignment hint =
       random_feasible_assignment(scenario, hint_rng, 0.7);
-  const jtora::UtilityEvaluator evaluator(scenario);
+  const jtora::CompiledProblem problem(scenario);
+  const jtora::UtilityEvaluator evaluator(problem);
   const double hint_utility =
       evaluator.system_utility(repair_hint(scenario, hint));
 
@@ -120,15 +162,15 @@ TEST(WarmStartTest, WarmResultNeverBelowRepairedHint) {
         static_cast<const Scheduler*>(&local_search),
         static_cast<const Scheduler*>(&greedy)}) {
     Rng rng(77);
-    const ScheduleResult result =
-        run_and_validate(*scheduler, scenario, hint, rng);
+    const ScheduleResult result = run_and_validate(
+        *scheduler, {.problem = &problem, .hint = &hint, .rng = &rng});
     EXPECT_GE(result.system_utility, hint_utility - 1e-9)
         << scheduler->name();
   }
 }
 
 TEST(WarmStartTest, RunAndValidateFallsBackForColdSchedulers) {
-  // hJTORA is not WarmStartable: the hint overload must silently produce
+  // hJTORA lacks kWarmStart: a hinted request must silently produce
   // exactly the cold-path result.
   const mec::Scenario scenario = make_scenario(10, 3, 2, 13);
   Rng hint_rng(3);
@@ -137,9 +179,11 @@ TEST(WarmStartTest, RunAndValidateFallsBackForColdSchedulers) {
   const HjtoraScheduler scheduler;
   Rng rng_hint(55);
   Rng rng_cold(55);
-  const ScheduleResult with_hint =
-      run_and_validate(scheduler, scenario, hint, rng_hint);
-  const ScheduleResult cold = run_and_validate(scheduler, scenario, rng_cold);
+  const jtora::CompiledProblem problem(scenario);
+  const ScheduleResult with_hint = run_and_validate(
+      scheduler, {.problem = &problem, .hint = &hint, .rng = &rng_hint});
+  const ScheduleResult cold =
+      run_and_validate(scheduler, {.problem = &problem, .rng = &rng_cold});
   EXPECT_DOUBLE_EQ(with_hint.system_utility, cold.system_utility);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
     EXPECT_EQ(with_hint.assignment.slot_of(u), cold.assignment.slot_of(u));
@@ -154,7 +198,8 @@ TEST(WarmStartTest, MultiStartForwardsHintToRestartZero) {
   Rng hint_rng(4);
   const jtora::Assignment hint =
       random_feasible_assignment(scenario, hint_rng, 0.6);
-  const double hint_utility = jtora::UtilityEvaluator(scenario).system_utility(
+  const jtora::CompiledProblem problem(scenario);
+  const double hint_utility = jtora::UtilityEvaluator(problem).system_utility(
       repair_hint(scenario, hint));
   TsajsConfig config;
   config.chain_length = 5;
@@ -162,8 +207,10 @@ TEST(WarmStartTest, MultiStartForwardsHintToRestartZero) {
                                       3);
   Rng rng_a(91);
   Rng rng_b(91);
-  const ScheduleResult a = scheduler.schedule_from(scenario, hint, rng_a);
-  const ScheduleResult b = scheduler.schedule_from(scenario, hint, rng_b);
+  const ScheduleResult a =
+      scheduler.solve({.problem = &problem, .hint = &hint, .rng = &rng_a});
+  const ScheduleResult b =
+      scheduler.solve({.problem = &problem, .hint = &hint, .rng = &rng_b});
   EXPECT_GE(a.system_utility, hint_utility - 1e-9);
   EXPECT_DOUBLE_EQ(a.system_utility, b.system_utility);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {

@@ -19,21 +19,6 @@
 namespace tsajs::jtora {
 namespace {
 
-/// Restores the process-wide batch toggle on scope exit so tests cannot
-/// leak a disabled batch path into each other.
-class ScopedBatchToggle {
- public:
-  explicit ScopedBatchToggle(bool on) : prior_(batch::enabled()) {
-    batch::set_enabled(on);
-  }
-  ~ScopedBatchToggle() { batch::set_enabled(prior_); }
-  ScopedBatchToggle(const ScopedBatchToggle&) = delete;
-  ScopedBatchToggle& operator=(const ScopedBatchToggle&) = delete;
-
- private:
-  bool prior_;
-};
-
 mec::Scenario make_scenario(std::uint64_t seed, std::size_t users = 30,
                             std::size_t servers = 9,
                             std::size_t subchannels = 3) {
@@ -154,17 +139,8 @@ TEST(BatchDispatchTest, UtilityEvaluatorIdenticalWithBatchOnAndOff) {
     Rng rng(seed);
     const Assignment x =
         algo::random_feasible_assignment(scenario, rng, 0.8);
-    double on = 0.0;
-    double off = 0.0;
-    {
-      const ScopedBatchToggle batch_on(true);
-      on = evaluator.system_utility(x);
-    }
-    {
-      const ScopedBatchToggle batch_off(false);
-      off = evaluator.system_utility(x);
-    }
-    expect_equivalent(on, off);
+    expect_equivalent(evaluator.system_utility(x),
+                      evaluator.system_utility_reference(x));
   }
 }
 
@@ -173,19 +149,13 @@ TEST(BatchDispatchTest, IncrementalRebuildIdenticalWithBatchOnAndOff) {
   const CompiledProblem problem(scenario);
   Rng rng(77);
   const Assignment x = algo::random_feasible_assignment(scenario, rng, 0.7);
-  double on = 0.0;
-  double off = 0.0;
-  {
-    const ScopedBatchToggle batch_on(true);
-    const IncrementalEvaluator eval(problem, x);
-    on = eval.utility();
-  }
-  {
-    const ScopedBatchToggle batch_off(false);
-    const IncrementalEvaluator eval(problem, x);
-    off = eval.utility();
-  }
-  expect_equivalent(on, off);
+  // The batch rebuild folds each sub-channel's received power with
+  // accumulate_rows, bit-identical to the per-user add_row_scaled chain it
+  // replaced (AccumulateRowsTest pins the kernel). Golden captured from that
+  // scalar chain; self_check cross-checks against the plain evaluator.
+  const IncrementalEvaluator eval(problem, x);
+  expect_equivalent(eval.utility(), -0x1.405be533220ap+21);
+  eval.self_check();
 }
 
 TEST(BatchPreviewTest, SubchannelRowMatchesScalarPreviews) {

@@ -142,8 +142,9 @@ TEST(ChaosTest, NoSchemeAssignsToMaskedResources) {
     SCOPED_TRACE("scheme: " + scheme);
     const auto scheduler = algo::make_scheduler(scheme);
     Rng rng(123);
+    const jtora::CompiledProblem problem(scenario);
     const algo::ScheduleResult result =
-        algo::run_and_validate(*scheduler, scenario, rng);
+        algo::run_and_validate(*scheduler, {.problem = &problem, .rng = &rng});
     for (std::size_t u = 0; u < kPopulation; ++u) {
       const auto slot = result.assignment.slot_of(u);
       if (!slot.has_value()) continue;
@@ -171,8 +172,9 @@ TEST(ChaosTest, TotalOutageDegradesToAllLocal) {
     SCOPED_TRACE("scheme: " + scheme);
     const auto scheduler = algo::make_scheduler(scheme);
     Rng rng(9);
+    const jtora::CompiledProblem problem(scenario);
     const algo::ScheduleResult result =
-        algo::run_and_validate(*scheduler, scenario, rng);
+        algo::run_and_validate(*scheduler, {.problem = &problem, .rng = &rng});
     EXPECT_EQ(result.assignment.num_offloaded(), 0u);
     EXPECT_EQ(result.system_utility, 0.0);
   }

@@ -21,6 +21,7 @@
 #include "algo/registry.h"
 #include "common/error.h"
 #include "sim/stream.h"
+#include "support/scratch_dir.h"
 
 namespace tsajs::sim {
 namespace {
@@ -56,14 +57,6 @@ void write_file(const std::string& path, const std::string& body) {
   out << body;
 }
 
-/// Fresh directory under the gtest temp root; wiped if a previous run of
-/// the same test left one behind.
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "tsajs-crash-" + name;
-  fs::remove_all(dir);
-  return dir;
-}
-
 /// The uninterrupted reference bundle all drills compare against. Built
 /// once per test binary (the driver is deterministic, so rebuilding it
 /// would produce the same bytes anyway).
@@ -72,7 +65,8 @@ class CrashRecoveryTest : public testing::Test {
   static void SetUpTestSuite() {
     driver_ = new StreamDriver(4, 3, drill_config());
     scheduler_ = algo::make_scheduler(kScheme).release();
-    reference_dir_ = new std::string(fresh_dir("reference"));
+    reference_dir_ =
+        new std::string(test_support::fresh_scratch_dir("reference"));
     EvidenceWriter evidence(*reference_dir_);
     evidence.write_run_json(driver_->config(), driver_->num_servers(),
                             driver_->num_subchannels(), kSeed, kScheme);
@@ -85,16 +79,23 @@ class CrashRecoveryTest : public testing::Test {
   }
 
   static void TearDownTestSuite() {
+    fs::remove_all(test_support::scratch_root());
     delete reference_events_;
     delete reference_dir_;
     delete scheduler_;
     delete driver_;
   }
 
+  /// Drops this test's scratch directories unless it failed (kept for
+  /// post-mortem).
+  void TearDown() override {
+    if (!HasFailure()) fs::remove_all(test_support::scratch_root());
+  }
+
   /// Copies the clean reference bundle into a scratch directory the test
   /// can then damage.
   static std::string damaged_copy(const std::string& name) {
-    const std::string dir = fresh_dir(name);
+    const std::string dir = test_support::fresh_scratch_dir(name);
     fs::copy(*reference_dir_, dir, fs::copy_options::recursive);
     return dir;
   }
@@ -189,7 +190,8 @@ TEST_F(CrashRecoveryTest, SigkillAtTwentySeededPointsRecoversByteIdentically) {
   }
   for (const std::size_t after : crash_points) {
     SCOPED_TRACE("crash after event " + std::to_string(after));
-    const std::string dir = fresh_dir("event-" + std::to_string(after));
+    const std::string dir =
+        test_support::fresh_scratch_dir("event-" + std::to_string(after));
     run_killed_child(*driver_, *scheduler_, dir, after, 0);
     // Note: stdio buffering means the on-disk log may end well before event
     // `after` — only lines up to the last checkpoint fsync are guaranteed.
@@ -205,7 +207,8 @@ TEST_F(CrashRecoveryTest, SigkillAtTwentySeededPointsRecoversByteIdentically) {
 TEST_F(CrashRecoveryTest, SigkillMidCheckpointWriteRecovers) {
   for (const std::size_t nth : {std::size_t{1}, std::size_t{2}}) {
     SCOPED_TRACE("crash in checkpoint " + std::to_string(nth));
-    const std::string dir = fresh_dir("ckpt-" + std::to_string(nth));
+    const std::string dir =
+        test_support::fresh_scratch_dir("ckpt-" + std::to_string(nth));
     run_killed_child(*driver_, *scheduler_, dir, 0, nth);
     const RecoveryInfo info = recover_and_verify(dir);
     EXPECT_EQ(info.checkpoints_scanned, nth - 1);
@@ -306,16 +309,14 @@ TEST_F(CrashRecoveryTest, RecoverRefusesMismatchedConfig) {
 }
 
 TEST_F(CrashRecoveryTest, PrepareRecoveryRequiresAnEventLog) {
-  const std::string dir = fresh_dir("empty");
-  fs::create_directories(dir);
+  const std::string dir = test_support::fresh_scratch_dir("empty");
   EXPECT_THROW((void)prepare_recovery(dir), Error);
 }
 
 // Durable checkpoint file I/O: CRC trailer present, round-trip exact, and
 // every single-byte corruption of the file is detected.
 TEST_F(CrashRecoveryTest, CheckpointFileRoundTripsWithCrcTrailer) {
-  const std::string dir = fresh_dir("roundtrip");
-  fs::create_directories(dir);
+  const std::string dir = test_support::fresh_scratch_dir("roundtrip");
   StreamCheckpoint cp;
   cp.config_digest = driver_->config().digest();
   cp.seed = kSeed;
