@@ -7,13 +7,13 @@
 #pragma once
 
 #include <cstdint>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "algo/registry.h"
 #include "common/cli.h"
 #include "common/error.h"
-#include "common/log.h"
 #include "exp/report.h"
 #include "exp/trial_runner.h"
 
@@ -31,6 +31,8 @@ struct BenchOptions {
   std::size_t restart_threads = 1;
   std::string csv_prefix;  // empty = no CSV output
   bool tsajs_incremental = true;
+  /// Per-point sweep progress on stderr (--verbose).
+  bool verbose = false;
 };
 
 /// Registers the shared flags on `cli`.
@@ -61,7 +63,7 @@ inline BenchOptions read_common_flags(const CliParser& cli) {
   options.restart_threads =
       static_cast<std::size_t>(cli.get_uint("restart-threads"));
   options.csv_prefix = cli.get_string("csv");
-  if (cli.get_bool("verbose")) set_log_level(LogLevel::Info);
+  options.verbose = cli.get_bool("verbose");
   return options;
 }
 
@@ -91,8 +93,8 @@ inline void emit_latency_report(const std::string& title,
 }
 
 /// Runs one sweep: for each (label, builder) point, runs all trials and
-/// returns the per-point stats (in label order). Progress is logged per
-/// point at Info level, labelled with the sweep point just finished.
+/// returns the per-point stats (in label order). With `verbose`, progress
+/// goes to stderr per point, labelled with the sweep point just finished.
 inline std::vector<std::vector<exp::SchemeStats>> run_sweep(
     const BenchOptions& options, const std::vector<std::string>& labels,
     const std::vector<mec::ScenarioBuilder>& builders) {
@@ -108,9 +110,10 @@ inline std::vector<std::vector<exp::SchemeStats>> run_sweep(
     // parameters then share their drops (paired comparison, lower variance
     // along the x-axis).
     rows.push_back(runner.run(spec));
-    TSAJS_LOG(Info) << "sweep point " << (i + 1) << "/" << builders.size()
-                    << " (" << labels[i] << "): " << options.trials
-                    << " trials done";
+    if (options.verbose) {
+      std::cerr << "sweep point " << (i + 1) << "/" << builders.size() << " ("
+                << labels[i] << "): " << options.trials << " trials done\n";
+    }
   }
   return rows;
 }

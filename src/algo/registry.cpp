@@ -66,7 +66,6 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
     config.reach_m = options.shard_reach_m;
     config.threads = options.shard_threads;
     config.budget = options.budget;
-    config.hedge_factor = options.shard_hedge_factor;
     // The wrapper owns the budget (per-shard slices + reclaim + fixup
     // deadline); the inner scheme must run uncapped within its slice, so
     // its configured budget is cleared here.

@@ -46,11 +46,6 @@ struct RegistryOptions {
   /// changes. Kept separate from `threads` so a sharded multi-start
   /// ("sharded:tsajs-x4") does not multiply the two pools together.
   std::size_t shard_threads = 1;
-  /// Hedged-retry trigger for "sharded:<inner>" wrappers: a shard solve
-  /// overrunning this multiple of its budget slice is retried with the
-  /// deterministic greedy fallback (better result kept). 0 (default)
-  /// disables; otherwise must be >= 1. See ShardedConfig::hedge_factor.
-  double shard_hedge_factor = 0.0;
 };
 
 /// Creates a scheduler by name: "tsajs", "tsajs-geo" (geometric-cooling

@@ -195,18 +195,6 @@ ScheduleResult run_and_validate(const Scheduler& scheduler,
   return result;
 }
 
-void carry_slot(jtora::Assignment& x, std::size_t u, const jtora::Slot& slot,
-                bool forwarded) {
-  if (slot.server >= x.num_servers() ||
-      slot.subchannel >= x.num_subchannels() ||
-      !x.slot_available(slot.server, slot.subchannel) ||
-      x.occupant(slot.server, slot.subchannel).has_value()) {
-    return;
-  }
-  x.offload(u, slot.server, slot.subchannel);
-  if (forwarded && x.can_forward(u)) x.set_forwarded(u, true);
-}
-
 jtora::Assignment repair_hint(const mec::Scenario& scenario,
                               const jtora::Assignment& hint) {
   jtora::Assignment x(scenario);
@@ -214,7 +202,7 @@ jtora::Assignment repair_hint(const mec::Scenario& scenario,
       std::min(scenario.num_users(), hint.num_users());
   for (std::size_t u = 0; u < users; ++u) {
     if (const auto slot = hint.slot_of(u)) {
-      carry_slot(x, u, *slot, hint.is_forwarded(u));
+      jtora::carry_slot(x, u, *slot, hint.is_forwarded(u));
     }
   }
   return x;

@@ -39,10 +39,6 @@
 #include "jtora/utility.h"
 #include "mec/scenario.h"
 
-namespace tsajs {
-class CancelToken;  // common/watchdog.h
-}  // namespace tsajs
-
 namespace tsajs::algo {
 
 /// Anytime solve budget: wall-clock and/or search-effort caps for one
@@ -94,13 +90,6 @@ struct SolveRequest {
   const SolveBudget* budget = nullptr;
   /// RNG for this decision (required). Mutated by the solve.
   Rng* rng = nullptr;
-  /// Cooperative cancellation (nullptr = never cancelled). A budget-aware
-  /// scheduler polls the token at the same safe boundaries where it checks
-  /// its budget and returns its best feasible result so far once the flag
-  /// is set — same degradation contract as an expired budget, including
-  /// the all-local floor. Lets a watchdog stop a runaway solve without
-  /// preemption (see common/watchdog.h). Non-owning.
-  const CancelToken* cancel = nullptr;
 
   /// Throws unless `problem` and `rng` are set and any budget validates.
   void validate() const;
@@ -143,23 +132,11 @@ class Scheduler {
   }
 };
 
-/// The warm-carry rule: user `u` (local in `x`) re-claims its carried
-/// `slot` when the slot lies inside x's server/sub-channel grid, is not
-/// fault-masked and is still unclaimed; otherwise it stays local (graceful
-/// degradation off dead resources). A claimed user keeps its
-/// cloud-forwarding bit only while `x` can_forward it — a vanished tier,
-/// dead backhaul or full cloud strands it on edge service (still feasible)
-/// rather than on a dead cloud path. Callers visit users in ascending index
-/// order, so the lowest index keeps a contested slot. repair_hint and the
-/// simulators' warm hints all carry slots through this one rule.
-void carry_slot(jtora::Assignment& x, std::size_t u, const jtora::Slot& slot,
-                bool forwarded);
-
 /// Clamps `hint` to a feasible assignment for `scenario`: users beyond the
 /// scenario's user count are dropped and every other user carries its hint
-/// slot by carry_slot, in ascending user order — so the result satisfies
-/// constraints (12b)-(12d) by construction for *any* hint. Users the hint
-/// does not cover start local.
+/// slot by jtora::carry_slot, in ascending user order — so the result
+/// satisfies constraints (12b)-(12d) by construction for *any* hint. Users
+/// the hint does not cover start local.
 [[nodiscard]] jtora::Assignment repair_hint(const mec::Scenario& scenario,
                                             const jtora::Assignment& hint);
 

@@ -7,11 +7,9 @@
 #include <utility>
 #include <vector>
 
-#include "algo/greedy.h"
 #include "common/error.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "common/watchdog.h"
 #include "geo/partition.h"
 #include "jtora/incremental.h"
 #include "jtora/sharded_problem.h"
@@ -22,10 +20,6 @@ namespace tsajs::algo {
 void ShardedConfig::validate() const {
   TSAJS_REQUIRE(reach_m >= 0.0 && std::isfinite(reach_m),
                 "interference reach must be finite and non-negative");
-  TSAJS_REQUIRE(fixup_passes >= 1, "need at least one fixup pass");
-  TSAJS_REQUIRE(std::isfinite(hedge_factor) &&
-                    (hedge_factor == 0.0 || hedge_factor >= 1.0),
-                "hedge factor must be 0 (disabled) or >= 1");
   budget.validate();
 }
 
@@ -49,9 +43,7 @@ struct ShardedScheduler::Cache {
 
 ShardedScheduler::ShardedScheduler(std::unique_ptr<Scheduler> inner,
                                    ShardedConfig config)
-    : inner_(std::move(inner)),
-      hedge_fallback_(std::make_unique<GreedyScheduler>()),
-      config_(config) {
+    : inner_(std::move(inner)), config_(config) {
   TSAJS_REQUIRE(inner_ != nullptr, "sharded scheduler needs an inner scheme");
   config_.validate();
 }
@@ -65,6 +57,11 @@ std::string ShardedScheduler::name() const {
 }
 
 namespace {
+
+/// Boundary fixup rounds after the shard solves. Each round sweeps the
+/// boundary users once (colored, see sharded.h); rounds stop early when a
+/// sweep changes nothing.
+constexpr std::size_t kFixupPasses = 2;
 
 /// Greedy coloring of the shard graph under *distance-2* conflicts: two
 /// shards conflict when they are adjacent or share a common neighbor.
@@ -105,66 +102,6 @@ void build_fixup_plan(const geo::InterferencePartition& partition,
     }
     std::sort(halo.begin(), halo.end());
   }
-}
-
-/// Largest-remainder apportionment of `total` units over integer weights:
-/// floor the exact share, then hand the leftover units to the largest
-/// fractional parts (lowest shard id on ties). With `at_least_one`, every
-/// positive-weight shard gets >= 1 unit — a SolveBudget slice of 0 would
-/// mean "unlimited", the opposite of a small share.
-std::vector<std::size_t> split_units(std::size_t total,
-                                     const std::vector<std::uint64_t>& weights,
-                                     bool at_least_one) {
-  const std::size_t n = weights.size();
-  std::vector<std::size_t> alloc(n, 0);
-  // Deterministically downscale the weights until their sum fits in 32
-  // bits: the apportionment below forms remainder x weight products, and
-  // bounding the sum bounds both factors, so no product can overflow.
-  // Halving preserves the proportions to within the resolution the split
-  // can express anyway.
-  std::vector<std::uint64_t> scaled(weights);
-  std::uint64_t weight_sum = 0;
-  for (const std::uint64_t w : scaled) weight_sum += w;
-  while (weight_sum >= (std::uint64_t{1} << 32)) {
-    weight_sum = 0;
-    for (std::uint64_t& w : scaled) {
-      if (w != 0) w = std::max<std::uint64_t>(std::uint64_t{1}, w / 2);
-      weight_sum += w;
-    }
-  }
-  if (weight_sum == 0 || total == 0) return alloc;
-  const std::uint64_t quotient = total / weight_sum;
-  const std::uint64_t residue = total % weight_sum;
-  std::uint64_t assigned = 0;
-  std::vector<std::pair<std::uint64_t, std::size_t>> remainders;
-  remainders.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    if (scaled[k] == 0) continue;
-    // total * w / sum, split as q*w + r*w/sum so every product stays
-    // within 64 bits (q*w <= total, r*w < sum^2 < 2^64).
-    alloc[k] = static_cast<std::size_t>(quotient * scaled[k] +
-                                        (residue * scaled[k]) / weight_sum);
-    assigned += alloc[k];
-    remainders.emplace_back((residue * scaled[k]) % weight_sum, k);
-  }
-  std::sort(remainders.begin(), remainders.end(),
-            [](const std::pair<std::uint64_t, std::size_t>& a,
-               const std::pair<std::uint64_t, std::size_t>& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  std::uint64_t leftover = total > assigned ? total - assigned : 0;
-  for (const auto& [remainder, k] : remainders) {
-    if (leftover == 0) break;
-    ++alloc[k];
-    --leftover;
-  }
-  if (at_least_one) {
-    for (std::size_t k = 0; k < n; ++k) {
-      if (weights[k] != 0 && alloc[k] == 0) alloc[k] = 1;
-    }
-  }
-  return alloc;
 }
 
 /// One accepted boundary-user placement from a shard sweep, in the global
@@ -271,13 +208,12 @@ ScheduleResult ShardedScheduler::solve(const SolveRequest& request) const {
   // split across shards; absent both, the solve is unbudgeted.
   const SolveBudget& budget =
       request.budget != nullptr ? *request.budget : config_.budget;
-  return sharded_solve(*request.problem, request.hint, budget, request.cancel,
-                       *request.rng);
+  return sharded_solve(*request.problem, request.hint, budget, *request.rng);
 }
 
 ScheduleResult ShardedScheduler::passthrough(
     const jtora::CompiledProblem& problem, const jtora::Assignment* hint,
-    const SolveBudget& budget, const CancelToken* cancel, Rng& rng) const {
+    const SolveBudget& budget, Rng& rng) const {
   // An unlimited budget is not forwarded, keeping the historical delegation
   // paths bit for bit (the inner scheme falls back to its own configured
   // budget); a real budget rides the request and caps the unsharded solve
@@ -289,13 +225,12 @@ ScheduleResult ShardedScheduler::passthrough(
   inner_request.hint = hint;
   inner_request.budget = budget.unlimited() ? nullptr : &budget;
   inner_request.rng = &rng;
-  inner_request.cancel = cancel;
   return inner_->solve(inner_request);
 }
 
 ScheduleResult ShardedScheduler::sharded_solve(
     const jtora::CompiledProblem& problem, const jtora::Assignment* hint,
-    const SolveBudget& budget, const CancelToken* cancel, Rng& rng) const {
+    const SolveBudget& budget, Rng& rng) const {
   const Stopwatch timer;
   const mec::Scenario& scenario = problem.scenario();
 
@@ -318,7 +253,7 @@ ScheduleResult ShardedScheduler::sharded_solve(
   // A single site (auto reach 0) cannot be partitioned; neither can a
   // deployment whose sites all share one tile. Both degenerate to the
   // wrapped scheme verbatim — same Rng, same result, bit for bit.
-  if (reach <= 0.0) return passthrough(problem, hint, budget, cancel, rng);
+  if (reach <= 0.0) return passthrough(problem, hint, budget, rng);
 
   // The mutex is held for the whole solve: concurrent solve() calls on
   // one instance serialize (each still deterministic), and the cache below
@@ -342,7 +277,7 @@ ScheduleResult ShardedScheduler::sharded_solve(
   }
   const geo::InterferencePartition& partition = *cache.partition;
   if (partition.num_shards() == 1) {
-    return passthrough(problem, hint, budget, cancel, rng);
+    return passthrough(problem, hint, budget, rng);
   }
 
   // Re-slice for this epoch; ShardedProblem reuses whatever it can.
@@ -372,7 +307,7 @@ ScheduleResult ShardedScheduler::sharded_solve(
   }
   std::vector<std::size_t> iter_slice(num_shards, 0);
   if (capped_inner && budget.max_iterations != 0) {
-    iter_slice = split_units(budget.max_iterations, weights, true);
+    iter_slice = jtora::split_units(budget.max_iterations, weights, true);
   }
   std::vector<double> sec_slice(num_shards, 0.0);
   if (capped_inner && budget.max_seconds > 0.0 && weight_sum > 0) {
@@ -399,17 +334,9 @@ ScheduleResult ShardedScheduler::sharded_solve(
   std::vector<std::uint64_t> seeds(2 * num_shards);
   for (std::size_t k = 0; k < seeds.size(); ++k) seeds[k] = rng.derive_seed(k);
 
-  // Hedged retries (config_.hedge_factor > 0): one watchdog serves every
-  // wall-clock-budgeted shard solve; iteration budgets need no watchdog —
-  // overrun there is a pure function of the reported evaluation count.
-  const bool hedging = config_.hedge_factor > 0.0 && capped_inner;
-  std::optional<Watchdog> watchdog;
-  if (hedging && budget.max_seconds > 0.0) watchdog.emplace();
-
   struct Outcome {
     std::optional<ScheduleResult> result;
     bool truncated = false;
-    bool hedged = false;
   };
   std::vector<Outcome> outcomes(num_shards);
   const auto solve_shard = [&](std::size_t k) {
@@ -421,78 +348,28 @@ ScheduleResult ShardedScheduler::sharded_solve(
     SolveRequest shard_request;
     shard_request.problem = shard.problem.get();
     shard_request.rng = &child;
-    shard_request.cancel = cancel;
     std::optional<jtora::Assignment> shard_hint;
     if (repaired.has_value()) {
       shard_hint = sharded.shard_hint(k, *repaired);
       shard_request.hint = &*shard_hint;
     }
+    SolveBudget slice;
     if (capped_inner) {
-      SolveBudget slice;
       slice.max_iterations = iter_slice[k];
       slice.max_seconds = sec_slice[k];
       shard_request.budget = &slice;
-      // Wall-clock hedging cancels the inner solve cooperatively once it
-      // overruns hedge_factor x its slice deadline; the caller's own token
-      // (if any) already fed the request above, and a fired hedge token
-      // implies this shard will be retried below either way.
-      CancelToken hedge_token;
-      std::uint64_t watch_id = 0;
-      if (watchdog.has_value() && slice.max_seconds > 0.0) {
-        shard_request.cancel = &hedge_token;
-        watch_id =
-            watchdog->arm(hedge_token, config_.hedge_factor * slice.max_seconds);
-      }
-      out.result = inner_->solve(shard_request);
-      if (watch_id != 0) watchdog->disarm(watch_id);
-      // Truncated = the slice (not mere preference) stopped the solve; only
-      // these shards compete for reclaimed budget. The iteration test is a
-      // pure function of the result, keeping iteration-only budgets
-      // bit-deterministic; the wall-clock test is anytime by nature.
-      out.truncated =
-          (slice.max_iterations != 0 &&
-           out.result->evaluations >= slice.max_iterations) ||
-          (slice.max_seconds > 0.0 &&
-           shard_timer.elapsed_seconds() >= slice.max_seconds);
-      if (hedging) {
-        // Overrun = the solve blew past hedge_factor x its slice. Under an
-        // iteration budget the test reads only the result (bit-identical at
-        // any thread count); under a wall-clock budget the watchdog token
-        // and the elapsed check agree up to timing, which that mode never
-        // guaranteed anyway.
-        const bool iter_overrun =
-            slice.max_iterations != 0 &&
-            static_cast<double>(out.result->evaluations) >
-                config_.hedge_factor *
-                    static_cast<double>(slice.max_iterations);
-        const bool clock_overrun =
-            slice.max_seconds > 0.0 &&
-            (hedge_token.cancelled() ||
-             shard_timer.elapsed_seconds() >=
-                 config_.hedge_factor * slice.max_seconds);
-        if (iter_overrun || clock_overrun) {
-          // Deterministic retry: the greedy fallback is RNG-free, so the
-          // hedged result is a pure function of the shard problem (and the
-          // hint). Keep the better of the two; the shard stops competing
-          // for reclaimed budget — it already proved it cannot spend its
-          // slice well.
-          SolveRequest fallback_request = shard_request;
-          fallback_request.budget = nullptr;
-          fallback_request.cancel = nullptr;
-          const ScheduleResult fallback =
-              hedge_fallback_->solve(fallback_request);
-          out.result->evaluations += fallback.evaluations;
-          if (fallback.system_utility > out.result->system_utility) {
-            out.result->assignment = fallback.assignment;
-            out.result->system_utility = fallback.system_utility;
-          }
-          out.truncated = false;
-          out.hedged = true;
-        }
-      }
-    } else {
-      out.result = inner_->solve(shard_request);
     }
+    out.result = inner_->solve(shard_request);
+    // Truncated = the slice (not mere preference) stopped the solve; only
+    // these shards compete for reclaimed budget. The iteration test is a
+    // pure function of the result, keeping iteration-only budgets
+    // bit-deterministic; the wall-clock test is anytime by nature. An
+    // uncapped solve has an all-zero slice and is never truncated.
+    out.truncated =
+        (slice.max_iterations != 0 &&
+         out.result->evaluations >= slice.max_iterations) ||
+        (slice.max_seconds > 0.0 &&
+         shard_timer.elapsed_seconds() >= slice.max_seconds);
   };
 
   // One pool serves the shard solves, the reclaim pass, and the fixup
@@ -546,7 +423,7 @@ ScheduleResult ShardedScheduler::sharded_solve(
       // No >=1 clamp here: a shard whose reclaimed share rounds to nothing
       // simply keeps its phase-1 result.
       const std::vector<std::size_t> iter_extra =
-          split_units(iter_pool, reclaim_weights, false);
+          jtora::split_units(iter_pool, reclaim_weights, false);
       const auto resolve_shard = [&](std::size_t k) {
         if (reclaim_weights[k] == 0) return;
         SolveBudget slice;
@@ -606,11 +483,8 @@ ScheduleResult ShardedScheduler::sharded_solve(
   master.set_undo_logging(false);
   const std::size_t num_subchannels = scenario.num_subchannels();
   std::vector<ShardSweep> sweeps;
-  for (std::size_t pass = 0; pass < config_.fixup_passes; ++pass) {
+  for (std::size_t pass = 0; pass < kFixupPasses; ++pass) {
     if (deadline > 0.0 && timer.elapsed_seconds() >= deadline) break;
-    // The merged assignment is feasible at every pass boundary, so a
-    // cancelled solve can stop polishing here and return it as-is.
-    if (cancel != nullptr && cancel->cancelled()) break;
     std::size_t moved = 0;
     for (const std::vector<std::size_t>& color_class : cache.color_classes) {
       if (deadline > 0.0 && timer.elapsed_seconds() >= deadline) break;

@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "common/stopwatch.h"
-#include "common/watchdog.h"
 #include "jtora/incremental.h"
 
 namespace tsajs::algo {
@@ -49,10 +48,9 @@ namespace {
 // construction: an unrealized proposal leaves no trace.
 template <typename Propose, typename Commit, typename Snapshot>
 ScheduleResult anneal(const TsajsConfig& config, const SolveBudget& budget,
-                      const CancelToken* cancel, Rng& rng,
-                      double initial_temperature, double initial_utility,
-                      Propose&& propose, Commit&& commit,
-                      Snapshot&& snapshot) {
+                      Rng& rng, double initial_temperature,
+                      double initial_utility, Propose&& propose,
+                      Commit&& commit, Snapshot&& snapshot) {
   // Algorithm 1 lines 3-4: temperature schedule parameters.
   double temperature = initial_temperature;
   TSAJS_CHECK(temperature > config.min_temperature,
@@ -92,8 +90,7 @@ ScheduleResult anneal(const TsajsConfig& config, const SolveBudget& budget,
     // Anytime budget: a plateau boundary is a safe point — `result` always
     // holds the best feasible decision seen so far, so stopping here is
     // "return best-so-far", never "return partial state". A negative
-    // deadline compares as already expired, and a cancelled token stops
-    // the solve under the same contract.
+    // deadline compares as already expired.
     if (budgeted &&
         ((budget.max_iterations != 0 &&
           result.evaluations >= budget.max_iterations) ||
@@ -101,7 +98,6 @@ ScheduleResult anneal(const TsajsConfig& config, const SolveBudget& budget,
           deadline_timer.elapsed_seconds() >= budget.max_seconds))) {
       break;
     }
-    if (cancel != nullptr && cancel->cancelled()) break;
     // Lines 26-30: threshold-triggered cooling.
     if (config.cooling == CoolingMode::kGeometric) {
       temperature *= config.alpha_slow;
@@ -128,7 +124,7 @@ ScheduleResult TsajsScheduler::solve(const SolveRequest& request) const {
     // scenario whatever it was shaped for. Annealing restarts from the low
     // warm_reheat temperature instead of re-melting at T = N.
     return budgeted_solve(problem, repair_hint(problem.scenario(), *request.hint),
-                          config_.warm_reheat, budget, request.cancel, rng);
+                          config_.warm_reheat, budget, rng);
   }
   // Algorithm 1 line 5: random feasible initial solution; line 3: T <- N.
   jtora::Assignment initial = random_feasible_assignment(
@@ -136,18 +132,15 @@ ScheduleResult TsajsScheduler::solve(const SolveRequest& request) const {
   const double initial_temperature = config_.initial_temperature.value_or(
       static_cast<double>(problem.num_subchannels()));
   return budgeted_solve(problem, std::move(initial), initial_temperature,
-                        budget, request.cancel, rng);
+                        budget, rng);
 }
 
 ScheduleResult TsajsScheduler::budgeted_solve(
     const jtora::CompiledProblem& problem, jtora::Assignment initial,
-    double initial_temperature, const SolveBudget& budget,
-    const CancelToken* cancel, Rng& rng) const {
+    double initial_temperature, const SolveBudget& budget, Rng& rng) const {
   ScheduleResult result = anneal_solve(problem, std::move(initial),
-                                       initial_temperature, budget, cancel,
-                                       rng);
-  if ((!budget.unlimited() || cancel != nullptr) &&
-      result.system_utility < 0.0) {
+                                       initial_temperature, budget, rng);
+  if (!budget.unlimited() && result.system_utility < 0.0) {
     // The budget fired before the search reached anything at least as good
     // as all-local execution (system utility exactly 0, feasible by
     // construction): degrade to it rather than return a worse start.
@@ -159,8 +152,7 @@ ScheduleResult TsajsScheduler::budgeted_solve(
 
 ScheduleResult TsajsScheduler::anneal_solve(
     const jtora::CompiledProblem& problem, jtora::Assignment initial,
-    double initial_temperature, const SolveBudget& budget,
-    const CancelToken* cancel, Rng& rng) const {
+    double initial_temperature, const SolveBudget& budget, Rng& rng) const {
   const Neighborhood neighborhood(problem.scenario(), config_.neighborhood);
 
   if (config_.use_incremental_evaluator) {
@@ -173,7 +165,7 @@ ScheduleResult TsajsScheduler::anneal_solve(
     state.set_rebuild_interval(config_.rebuild_interval);
     Neighborhood::Move move;
     return anneal(
-        config_, budget, cancel, rng, initial_temperature, state.utility(),
+        config_, budget, rng, initial_temperature, state.utility(),
         /*propose=*/
         [&](Rng& r) {
           move = neighborhood.propose(state, r);
@@ -192,7 +184,7 @@ ScheduleResult TsajsScheduler::anneal_solve(
   jtora::Assignment candidate = current;
   double candidate_utility = 0.0;
   return anneal(
-      config_, budget, cancel, rng, initial_temperature,
+      config_, budget, rng, initial_temperature,
       evaluator.system_utility(current),
       /*propose=*/
       [&](Rng& r) {

@@ -101,16 +101,13 @@ class TsajsScheduler final : public Scheduler {
   [[nodiscard]] const TsajsConfig& config() const noexcept { return config_; }
 
  private:
-  /// anneal_solve + the budgeted all-local degradation floor (which also
-  /// covers a cancelled solve; `cancel` may be nullptr).
+  /// anneal_solve + the budgeted all-local degradation floor.
   [[nodiscard]] ScheduleResult budgeted_solve(
       const jtora::CompiledProblem& problem, jtora::Assignment initial,
-      double initial_temperature, const SolveBudget& budget,
-      const CancelToken* cancel, Rng& rng) const;
+      double initial_temperature, const SolveBudget& budget, Rng& rng) const;
   [[nodiscard]] ScheduleResult anneal_solve(
       const jtora::CompiledProblem& problem, jtora::Assignment initial,
-      double initial_temperature, const SolveBudget& budget,
-      const CancelToken* cancel, Rng& rng) const;
+      double initial_temperature, const SolveBudget& budget, Rng& rng) const;
 
   TsajsConfig config_;
 };

@@ -213,4 +213,16 @@ void Assignment::check_consistency() const {
               "cloud admission cap exceeded");
 }
 
+void carry_slot(Assignment& x, std::size_t u, const Slot& slot,
+                bool forwarded) {
+  if (slot.server >= x.num_servers() ||
+      slot.subchannel >= x.num_subchannels() ||
+      !x.slot_available(slot.server, slot.subchannel) ||
+      x.occupant(slot.server, slot.subchannel).has_value()) {
+    return;
+  }
+  x.offload(u, slot.server, slot.subchannel);
+  if (forwarded && x.can_forward(u)) x.set_forwarded(u, true);
+}
+
 }  // namespace tsajs::jtora

@@ -186,4 +186,17 @@ class Assignment {
   std::size_t max_forwarded_ = 0;
 };
 
+/// The warm-carry rule: user `u` (local in `x`) re-claims its carried
+/// `slot` when the slot lies inside x's server/sub-channel grid, is not
+/// fault-masked and is still unclaimed; otherwise it stays local (graceful
+/// degradation off dead resources). A claimed user keeps its
+/// cloud-forwarding bit only while `x` can_forward it — a vanished tier,
+/// dead backhaul or full cloud strands it on edge service (still feasible)
+/// rather than on a dead cloud path. Callers visit users in ascending index
+/// order, so the lowest index keeps a contested slot. algo::repair_hint,
+/// ShardedProblem::shard_hint and the simulators' warm hints all carry
+/// slots through this one rule.
+void carry_slot(Assignment& x, std::size_t u, const Slot& slot,
+                bool forwarded);
+
 }  // namespace tsajs::jtora

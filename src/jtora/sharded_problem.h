@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -42,6 +43,16 @@
 #include "mec/scenario_workspace.h"
 
 namespace tsajs::jtora {
+
+/// Largest-remainder apportionment of `total` units over integer weights:
+/// floor each exact share, then hand the leftover units to the largest
+/// fractional parts (lowest index on ties). With `at_least_one`, every
+/// positive-weight entry gets >= 1 unit — a SolveBudget slice of 0 would
+/// mean "unlimited", the opposite of a small share. Shared by the sharded
+/// budget split and the per-shard cloud admission caps.
+[[nodiscard]] std::vector<std::size_t> split_units(
+    std::size_t total, const std::vector<std::uint64_t>& weights,
+    bool at_least_one);
 
 class ShardedProblem {
  public:
@@ -113,9 +124,9 @@ class ShardedProblem {
 
   /// Slices a feasible *global* assignment into shard `k`'s local frame
   /// (the inverse of merge_into, restricted to k): a shard user whose
-  /// global slot sits on one of k's servers keeps it, translated to local
-  /// indices; users placed outside k (or local) start local. Used to route
-  /// a global warm-start hint to the per-shard solves.
+  /// global slot sits on one of k's servers carries it, translated to local
+  /// indices, by carry_slot; users placed outside k (or local) start local.
+  /// Used to route a global warm-start hint to the per-shard solves.
   [[nodiscard]] Assignment shard_hint(std::size_t k,
                                       const Assignment& global) const;
 

@@ -72,14 +72,9 @@ class UtilityEvaluator {
                                     double cpu_hz,
                                     double extra_delay_s = 0.0) const;
 
-  [[nodiscard]] const mec::Scenario& scenario() const noexcept {
-    return problem_->scenario();
-  }
   [[nodiscard]] const CompiledProblem& problem() const noexcept {
     return *problem_;
   }
-  [[nodiscard]] const RateEvaluator& rates() const noexcept { return rate_; }
-  [[nodiscard]] const CraSolver& cra() const noexcept { return cra_; }
 
  private:
   const CompiledProblem* problem_;

@@ -261,11 +261,12 @@ DynamicReport DynamicSimulator::run(const algo::Scheduler& scheduler,
         // Repair the carried assignment for this epoch's active set: users
         // that went inactive are simply absent (their slots free), newly
         // active users enter local, and survivors keep their slots.
-        // Faulted resources evict their users to local (algo::carry_slot).
+        // Faulted resources evict their users to local (jtora::carry_slot).
         jtora::Assignment hint(scenario);
         for (std::size_t i = 0; i < active.size(); ++i) {
           if (const auto& slot = carried[active[i]]) {
-            algo::carry_slot(hint, i, *slot, carried_forwarded[active[i]] != 0);
+            jtora::carry_slot(hint, i, *slot,
+                              carried_forwarded[active[i]] != 0);
           }
         }
         return algo::run_and_validate(

@@ -319,7 +319,7 @@ StreamReport StreamDriver::run_loop(const algo::Scheduler& scheduler,
       std::size_t i = 0;
       for (const auto& [id, s] : sessions) {
         if (s.has_slot) {
-          algo::carry_slot(*hint, i, {s.server, s.subchannel}, s.forwarded);
+          jtora::carry_slot(*hint, i, {s.server, s.subchannel}, s.forwarded);
         }
         ++i;
       }

@@ -12,7 +12,6 @@
 #include "algo/tsajs.h"
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/watchdog.h"
 #include "jtora/utility.h"
 #include "mec/scenario_builder.h"
 
@@ -211,27 +210,6 @@ TEST(SolveBudgetTest, OneMillisecondDeadlineAtU90NeverThrows) {
   const ScheduleResult result =
       run_and_validate(*scheduler, {.problem = &problem, .rng = &solve_rng});
   EXPECT_GE(result.system_utility, 0.0);
-}
-
-// A pre-cancelled token (the watchdog's transport) stops the anneal at its
-// first plateau boundary and still honors the degradation floor: feasible,
-// never below all-local, never a throw.
-TEST(SolveBudgetTest, PreCancelledTokenStopsAtFirstBoundary) {
-  Rng env(42);
-  const mec::Scenario scenario = make_u90(env);
-  const jtora::CompiledProblem problem(scenario);
-
-  const TsajsScheduler scheduler;  // no budget — cancellation alone bites
-  CancelToken token;
-  token.cancel();
-  Rng rng(7);
-  SolveRequest request;
-  request.problem = &problem;
-  request.rng = &rng;
-  request.cancel = &token;
-  const ScheduleResult result = run_and_validate(scheduler, request);
-  EXPECT_GE(result.system_utility, 0.0);
-  EXPECT_LE(result.evaluations, scheduler.config().chain_length + 1);
 }
 
 // Warm starts honor the budget too: the hint path goes through the same

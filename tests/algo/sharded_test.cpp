@@ -5,13 +5,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "algo/greedy.h"
 #include "algo/registry.h"
 #include "algo/tsajs.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "geo/partition.h"
+#include "geo/point.h"
+#include "jtora/assignment.h"
 #include "jtora/compiled_problem.h"
+#include "jtora/sharded_problem.h"
 #include "jtora/utility.h"
 #include "mec/scenario_builder.h"
 
@@ -104,24 +110,44 @@ TEST(ShardedSchedulerTest, ThreadCountDoesNotChangeTheResult) {
   EXPECT_EQ(a.system_utility, b.system_utility);
 }
 
+// The boundary fixup only keeps strict improvements, so the sharded result
+// can never fall below the plain merge of its own shard solves. The inner
+// GreedyScheduler is RNG-free, so solving each shard of a public
+// ShardedProblem over the same partition reproduces the shard phase
+// exactly; the fixup is the only difference.
 TEST(ShardedSchedulerTest, FixupNeverWorseThanPlainMerge) {
   const mec::Scenario scenario = make_scenario(6, 70);
   const jtora::CompiledProblem problem(scenario);
-  ShardedConfig no_fixup;
-  no_fixup.reach_m = 2000.0;
-  no_fixup.fixup_passes = 1;  // minimum; sweep may still improve
-  ShardedConfig more;
-  more.reach_m = 2000.0;
-  more.fixup_passes = 4;
-  const ShardedScheduler base(std::make_unique<GreedyScheduler>(), no_fixup);
-  const ShardedScheduler deep(std::make_unique<GreedyScheduler>(), more);
-  Rng rng_a(11);
-  Rng rng_b(11);
-  const double u1 =
-      base.solve({.problem = &problem, .rng = &rng_a}).system_utility;
-  const double u4 =
-      deep.solve({.problem = &problem, .rng = &rng_b}).system_utility;
-  EXPECT_GE(u4, u1 - 1e-9);
+  constexpr double kReach = 2000.0;
+  std::vector<geo::Point> sites;
+  for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
+    sites.push_back(scenario.server(s).position);
+  }
+  const geo::InterferencePartition partition(sites, kReach);
+  const jtora::ShardedProblem sliced(problem, partition);
+  ASSERT_GT(sliced.num_shards(), 1u);
+  ASSERT_FALSE(sliced.boundary_users().empty());
+
+  const GreedyScheduler greedy;
+  jtora::Assignment merged(scenario);
+  for (std::size_t k = 0; k < sliced.num_shards(); ++k) {
+    const jtora::ShardedProblem::Shard& shard = sliced.shard(k);
+    if (shard.problem == nullptr) continue;
+    Rng unused(0);
+    const ScheduleResult local =
+        greedy.solve({.problem = shard.problem.get(), .rng = &unused});
+    sliced.merge_into(k, local.assignment, merged);
+  }
+  const double plain = jtora::UtilityEvaluator(problem).system_utility(merged);
+
+  ShardedConfig config;
+  config.reach_m = kReach;
+  const ShardedScheduler scheduler(std::make_unique<GreedyScheduler>(),
+                                   config);
+  Rng rng(11);
+  const ScheduleResult result =
+      run_and_validate(scheduler, {.problem = &problem, .rng = &rng});
+  EXPECT_GE(result.system_utility, plain - 1e-9);
 }
 
 TEST(ShardedSchedulerTest, TinyWallClockBudgetStillFeasible) {
@@ -331,6 +357,70 @@ TEST(ShardedSchedulerTest, RegistryShardThreadsAreBitwiseInvisible) {
   EXPECT_EQ(a.evaluations, b.evaluations);
 }
 
+// FNV-1a over every user's slot and forwarding bit: pins a whole
+// assignment in one golden value.
+std::uint64_t fingerprint(const jtora::Assignment& x) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (std::size_t u = 0; u < x.num_users(); ++u) {
+    const auto slot = x.slot_of(u);
+    mix(slot.has_value()
+            ? slot->server * x.num_subchannels() + slot->subchannel + 1
+            : 0);
+    mix(x.is_forwarded(u) ? 1 : 0);
+  }
+  return h;
+}
+
+// Hexfloat golden for the budgeted warm path on a capped cloud tier: the
+// hint is a coarse 200-iteration solve, and the 6000-iteration warm solve
+// truncates one of its three shards, so the reclaim pass re-solves it. The
+// per-shard cloud caps (7 over 27/22/11 users: 3/3/1), the warm hint
+// slicing, the budget split and the reclaim all feed these bits, at 1 and 4
+// shard threads alike.
+TEST(ShardedSchedulerTest, BudgetedWarmCloudSolveMatchesGoldenAt1And4Threads) {
+  Rng env(91);
+  const mec::Scenario scenario = mec::ScenarioBuilder()
+                                     .num_users(60)
+                                     .num_servers(9)
+                                     .num_subchannels(3)
+                                     .server_cpu_hz(2e9)
+                                     .cloud(100e9, 200e6, 0.01,
+                                            /*max_forwarded=*/7)
+                                     .build(env);
+  const jtora::CompiledProblem problem(scenario);
+  RegistryOptions options;
+  options.chain_length = 10;
+  options.shard_reach_m = 2000.0;
+  options.budget.max_iterations = 200;
+  Rng coarse_rng(93);
+  const ScheduleResult coarse =
+      make_scheduler("sharded:tsajs", options)
+          ->solve({.problem = &problem, .rng = &coarse_rng});
+  EXPECT_EQ(coarse.system_utility, 0x1.0f15ec22c6f2ap+2);
+  EXPECT_EQ(coarse.evaluations, 2440u);
+  EXPECT_EQ(fingerprint(coarse.assignment), 7634342250445534765ull);
+
+  options.budget.max_iterations = 6000;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads: " + std::to_string(threads));
+    options.shard_threads = threads;
+    const auto scheduler = make_scheduler("sharded:tsajs", options);
+    Rng rng(95);
+    const ScheduleResult warm = run_and_validate(
+        *scheduler,
+        {.problem = &problem, .hint = &coarse.assignment, .rng = &rng});
+    EXPECT_EQ(warm.system_utility, 0x1.aae144e141a23p+2);
+    EXPECT_EQ(warm.evaluations, 7671u);
+    EXPECT_EQ(warm.assignment.num_offloaded(), 13u);
+    EXPECT_EQ(warm.assignment.num_forwarded(), 6u);
+    EXPECT_EQ(fingerprint(warm.assignment), 753292196941247670ull);
+  }
+}
+
 TEST(ShardedSchedulerTest, RegistryBuildsShardedWrappers) {
   const auto scheduler = make_scheduler("sharded:greedy");
   ASSERT_NE(scheduler, nullptr);
@@ -342,110 +432,7 @@ TEST(ShardedSchedulerTest, RegistryBuildsShardedWrappers) {
                InvalidArgumentError);
 }
 
-TEST(ShardedSchedulerTest, HedgeFactorValidation) {
-  ShardedConfig config;
-  config.hedge_factor = 0.5;  // between 0 (off) and 1 is meaningless
-  EXPECT_THROW(ShardedScheduler(std::make_unique<GreedyScheduler>(), config),
-               InvalidArgumentError);
-  config.hedge_factor = -1.0;
-  EXPECT_THROW(ShardedScheduler(std::make_unique<GreedyScheduler>(), config),
-               InvalidArgumentError);
-  config.hedge_factor = 1.0;
-  EXPECT_NO_THROW(
-      ShardedScheduler(std::make_unique<GreedyScheduler>(), config));
-}
-
-// Hedged retries under an iteration budget read only the reported
-// evaluation counts (never the clock), so the whole solve — including which
-// shards hedge and what the greedy fallback returns — stays a pure function
-// of (problem, seed): bit-identical at 1, 2, and 8 threads.
-TEST(ShardedSchedulerTest, HedgedRetriesBitIdenticalAt1_2_8Threads) {
-  const mec::Scenario scenario = make_scenario(28, 60);
-  const jtora::CompiledProblem problem(scenario);
-  ShardedConfig base;
-  base.reach_m = 2000.0;
-  // Slices small enough that TSAJS overshoots them by more than the hedge
-  // factor (each plateau adds a whole chain), so retries actually fire.
-  base.budget.max_iterations = 60;
-  base.hedge_factor = 1.0;
-  base.threads = 1;
-  const ShardedScheduler sequential(
-      std::make_unique<TsajsScheduler>(small_tsajs()), base);
-  Rng rng_ref(37);
-  const ScheduleResult reference =
-      run_and_validate(sequential, {.problem = &problem, .rng = &rng_ref});
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    SCOPED_TRACE("threads: " + std::to_string(threads));
-    ShardedConfig pooled = base;
-    pooled.threads = threads;
-    const ShardedScheduler parallel(
-        std::make_unique<TsajsScheduler>(small_tsajs()), pooled);
-    Rng rng(37);
-    const ScheduleResult result =
-        run_and_validate(parallel, {.problem = &problem, .rng = &rng});
-    EXPECT_EQ(result.assignment, reference.assignment);
-    EXPECT_EQ(result.system_utility, reference.system_utility);  // bitwise
-    EXPECT_EQ(result.evaluations, reference.evaluations);
-  }
-  // The hedge really bit: the greedy fallback's evaluations are folded in,
-  // so the effort differs from the same configuration with hedging off.
-  ShardedConfig unhedged = base;
-  unhedged.hedge_factor = 0.0;
-  const ShardedScheduler plain(
-      std::make_unique<TsajsScheduler>(small_tsajs()), unhedged);
-  Rng rng_plain(37);
-  const ScheduleResult no_hedge =
-      run_and_validate(plain, {.problem = &problem, .rng = &rng_plain});
-  EXPECT_NE(no_hedge.evaluations, reference.evaluations);
-}
-
-// Wall-clock hedging routes through the Watchdog: a deadline so tight every
-// shard overruns immediately must cancel cooperatively, fall back to the
-// RNG-free greedy, and still produce a fully valid assignment — no throw,
-// no hang.
-TEST(ShardedSchedulerTest, WallClockHedgeFallsBackToGreedy) {
-  const mec::Scenario scenario = make_scenario(29, 50);
-  const jtora::CompiledProblem problem(scenario);
-  ShardedConfig config;
-  config.reach_m = 2000.0;
-  config.budget.max_seconds = 1e-6;
-  config.hedge_factor = 1.0;
-  const ShardedScheduler scheduler(
-      std::make_unique<TsajsScheduler>(small_tsajs()), config);
-  Rng rng(41);
-  const ScheduleResult result =
-      run_and_validate(scheduler, {.problem = &problem, .rng = &rng});
-  result.assignment.check_consistency();
-}
-
-// Registry wiring: --shard-hedge-factor reaches the wrapper and keeps the
-// thread-invariance guarantee.
-TEST(ShardedSchedulerTest, RegistryHedgeFactorStaysThreadInvariant) {
-  const mec::Scenario scenario = make_scenario(30, 55);
-  const jtora::CompiledProblem problem(scenario);
-  RegistryOptions options;
-  options.chain_length = 10;
-  options.shard_reach_m = 2000.0;
-  options.budget.max_iterations = 80;
-  options.shard_hedge_factor = 1.5;
-  const auto sequential = make_scheduler("sharded:tsajs", options);
-  options.shard_threads = 4;
-  const auto pooled = make_scheduler("sharded:tsajs", options);
-  Rng rng_a(73);
-  Rng rng_b(73);
-  const ScheduleResult a =
-      sequential->solve({.problem = &problem, .rng = &rng_a});
-  const ScheduleResult b = pooled->solve({.problem = &problem, .rng = &rng_b});
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.system_utility, b.system_utility);
-  EXPECT_EQ(a.evaluations, b.evaluations);
-}
-
 TEST(ShardedSchedulerTest, ConfigValidation) {
-  ShardedConfig config;
-  config.fixup_passes = 0;
-  EXPECT_THROW(ShardedScheduler(std::make_unique<GreedyScheduler>(), config),
-               InvalidArgumentError);
   ShardedConfig bad_reach;
   bad_reach.reach_m = -1.0;
   EXPECT_THROW(

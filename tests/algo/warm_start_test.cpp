@@ -68,7 +68,7 @@ TEST(RepairHintTest, FeasibleUnderArbitraryChurn) {
     }
   }
 
-  // Pinned inputs for the carry rule behind repair_hint (algo::carry_slot,
+  // Pinned inputs for the carry rule behind repair_hint (jtora::carry_slot,
   // shared with the simulators' warm hints), on a cloud-enabled 3x2 grid
   // whose slot (2, 1) is blacked out and whose server-1 backhaul is dead.
   Rng cloud_rng(400);
@@ -99,8 +99,8 @@ TEST(RepairHintTest, FeasibleUnderArbitraryChurn) {
   // Masked slot: evicted to local.
   EXPECT_FALSE(repaired.is_offloaded(2));
   // Contested slot: two carried users claim (1, 1); the lower index wins.
-  carry_slot(repaired, 3, jtora::Slot{1, 1}, false);
-  carry_slot(repaired, 4, jtora::Slot{1, 1}, false);
+  jtora::carry_slot(repaired, 3, jtora::Slot{1, 1}, false);
+  jtora::carry_slot(repaired, 4, jtora::Slot{1, 1}, false);
   repaired.check_consistency();
   EXPECT_EQ(repaired.slot_of(3), (jtora::Slot{1, 1}));
   EXPECT_FALSE(repaired.is_offloaded(4));
