@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "algo/neighborhood.h"
@@ -280,9 +281,9 @@ void BM_ChannelPowerAccumulate_Scalar(benchmark::State& state) {
 BENCHMARK(BM_ChannelPowerAccumulate_Scalar);
 
 // Batch preview scoring: one sub-channel row of candidate utilities (the
-// co-channel occupant deltas hoisted once) vs one preview_offload call per
-// free server, each re-walking the occupants. Sparse assignment so the
-// sub-channel actually has free servers to score.
+// co-channel occupant deltas hoisted once, every server a candidate) vs one
+// preview_offload call per free server, each re-walking the occupants.
+// Sparse assignment so the sub-channel actually has free servers to score.
 void BM_PreviewRow_Batch(benchmark::State& state) {
   const mec::Scenario scenario = default_scenario(90);
   const jtora::CompiledProblem problem(scenario);
@@ -290,9 +291,11 @@ void BM_PreviewRow_Batch(benchmark::State& state) {
   jtora::Assignment x = algo::random_feasible_assignment(scenario, rng, 0.15);
   if (x.is_offloaded(0)) x.make_local(0);
   const jtora::IncrementalEvaluator inc(problem, x);
+  std::vector<std::size_t> servers(scenario.num_servers());
+  std::iota(servers.begin(), servers.end(), std::size_t{0});
   std::vector<double> row(scenario.num_servers());
   for (auto _ : state) {
-    inc.preview_offload_subchannel(0, 0, row.data());
+    inc.preview_offload_subchannel(0, 0, servers, row);
     benchmark::DoNotOptimize(row.data());
   }
 }

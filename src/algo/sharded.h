@@ -9,7 +9,10 @@
 // re-scores every user homed in a boundary cell against the full global
 // problem — the one place the decomposition neglected cross-shard
 // interference — using the IncrementalEvaluator's batch sub-channel
-// previews and keeping only strict improvements.
+// previews and keeping only strict improvements. The previews price only
+// the shard's halo servers, and a sub-channel whose halo slots are all
+// held is skipped unpriced — bit-identical to scoring whole rows, since
+// skipped entries were NaN and never counted (DESIGN.md §8).
 //
 // Parallelism & determinism (see DESIGN.md "Parallel sharded solving"):
 //   * Shard solves: child seeds derive from the caller Rng up front in

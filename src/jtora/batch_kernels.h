@@ -11,8 +11,9 @@
 //     (Eq. 3), historically recomputed via O(S) Assignment::occupant()
 //     lookups per user (RateEvaluator::interference_w);
 //   * batch preview scoring — the candidate utility of offloading one user
-//     to every server of a sub-channel at once (IncrementalEvaluator
-//     drives this from its caches; see preview_offload_subchannel).
+//     to each of a list of candidate servers on one sub-channel at once
+//     (IncrementalEvaluator drives this from its caches; see
+//     preview_offload_subchannel).
 //
 // This unit provides those shapes as explicit kernels: the independent
 // dimension (servers for row accumulation, candidate slots for previews) is

@@ -30,18 +30,21 @@ void IncrementalEvaluator::rebuild() {
   cloud_count_ = 0;
   user_gain_.assign(problem_->num_users(), 0.0);
   channel_power_.assign(num_servers_ * num_subchannels_, 0.0);
+  slot_signal_.assign(num_servers_ * num_subchannels_, 0.0);
   const std::vector<std::size_t> offloaded = x_.offloaded_users();
   // The received-power cache is folded one sub-channel at a time with a
   // multi-row kernel: each destination lane still receives its additions in
   // ascending user order (offloaded_users() is ascending), so the result is
   // bit-identical to applying add_channel_power per user in turn.
   for (const std::size_t u : offloaded) {
+    const Slot slot = *x_.slot_of(u);
+    slot_signal_[slot.subchannel * num_servers_ + slot.server] =
+        signal_at(u, slot.subchannel, slot.server);
     if (x_.is_forwarded(u)) {
       cloud_sqrt_eta_ += problem_->sqrt_eta(u);
       ++cloud_count_;
       continue;
     }
-    const Slot slot = *x_.slot_of(u);
     server_sqrt_eta_[slot.server] += problem_->sqrt_eta(u);
     ++server_count_[slot.server];
   }
@@ -80,13 +83,12 @@ void IncrementalEvaluator::add_channel_power(std::size_t u, std::size_t j,
 }
 
 double IncrementalEvaluator::gain_of(std::size_t u, std::size_t s,
-                                     std::size_t j,
+                                     std::size_t j, double signal,
                                      double channel_power_total) const {
   // O(1) SINR via the received-power cache (Eq. 3): everything arriving at
   // this server on this sub-channel, minus the user's own signal, is
   // interference. Intra-cell users are orthogonal by (12d), so the only
   // same-channel co-users are in other cells — exactly Eq. 3's sum.
-  const double signal = signal_at(u, j, s);
   const double interference = std::max(channel_power_total - signal, 0.0);
   const double sinr = signal / (interference + noise_w_);
   const double log_term = std::log2(1.0 + sinr);
@@ -100,9 +102,9 @@ double IncrementalEvaluator::gain_of(std::size_t u, std::size_t s,
 void IncrementalEvaluator::refresh_user_cost(std::size_t u) {
   TSAJS_CHECK(x_.is_offloaded(u), "refresh_user_cost needs an offloader");
   const Slot slot = *x_.slot_of(u);
-  double gain =
-      gain_of(u, slot.server, slot.subchannel,
-              channel_power_[slot.subchannel * num_servers_ + slot.server]);
+  const std::size_t idx = slot.subchannel * num_servers_ + slot.server;
+  double gain = gain_of(u, slot.server, slot.subchannel, slot_signal_[idx],
+                        channel_power_[idx]);
   if (x_.is_forwarded(u)) gain -= forward_cost(u, slot.server);
   gain_minus_gamma_ += gain - user_gain_[u];
   user_gain_[u] = gain;
@@ -181,6 +183,7 @@ void IncrementalEvaluator::do_make_local(std::size_t u) {
   }
   add_channel_power(u, slot->subchannel, -1.0);
   x_.make_local(u);
+  slot_signal_[slot->subchannel * num_servers_ + slot->server] = 0.0;
   // Users sharing the old sub-channel lost an interferer.
   refresh_cochannel(slot->subchannel, std::nullopt);
   utility_ = gain_minus_gamma_ - lambda_cost_;
@@ -198,6 +201,7 @@ void IncrementalEvaluator::do_offload(std::size_t u, std::size_t s,
   }
   if (logging_) undo_log_.push_back({u, std::nullopt});
   x_.offload(u, s, j);
+  slot_signal_[j * num_servers_ + s] = signal_at(u, j, s);
   server_add(s, problem_->sqrt_eta(u));
   add_channel_power(u, j, +1.0);
   // Users sharing the new sub-channel gained an interferer; the mover's own
@@ -337,7 +341,9 @@ double IncrementalEvaluator::preview_changes(const SlotChange* changes,
       const std::size_t j = change.to->subchannel;
       const double power =
           channel_power_[j * num_servers_ + s] + power_delta(j, s);
-      gain_delta += gain_of(change.user, s, j, power) - user_gain_[change.user];
+      gain_delta += gain_of(change.user, s, j, signal_at(change.user, j, s),
+                            power) -
+                    user_gain_[change.user];
     } else {
       gain_delta -= user_gain_[change.user];
     }
@@ -371,7 +377,8 @@ double IncrementalEvaluator::preview_changes(const SlotChange* changes,
       }
       if (moved) continue;  // handled above (or vacated the slot)
       double occ_gain =
-          gain_of(*occupant, s, j, channel_power_[j * num_servers_ + s] + d);
+          gain_of(*occupant, s, j, occupant_signal(s, j),
+                  channel_power_[j * num_servers_ + s] + d);
       // A standing forwarded occupant keeps its forward penalty (their
       // cached user_gain_ includes it; gain_of does not).
       if (x_.is_forwarded(*occupant)) {
@@ -414,38 +421,52 @@ double IncrementalEvaluator::preview_swap(std::size_t u1,
   return preview_changes(changes, 2);
 }
 
-void IncrementalEvaluator::preview_offload_subchannel(std::size_t u,
-                                                      std::size_t j,
-                                                      double* out) const {
+bool IncrementalEvaluator::preview_offload_subchannel(
+    std::size_t u, std::size_t j, std::span<const std::size_t> candidates,
+    std::span<double> out) const {
   TSAJS_REQUIRE(!x_.is_offloaded(u),
                 "preview_offload_subchannel previews a local user");
+  TSAJS_REQUIRE(out.size() >= candidates.size(),
+                "preview_offload_subchannel needs one output per candidate");
+  // slot_available() range-checks the caller's server id before the flat
+  // occupancy read.
+  const auto& slot_users = x_.slot_users();
+  const auto can_take = [&](std::size_t s) {
+    return x_.slot_available(s, j) &&
+           !slot_users[s * num_subchannels_ + j].has_value();
+  };
+  // A row with no free candidate slot costs one occupancy read per
+  // candidate and nothing else.
+  if (std::none_of(candidates.begin(), candidates.end(), can_take)) {
+    return false;
+  }
   // Per-candidate, preview_changes computes
   //   utility + ((mover_gain + delta_occ_1) + delta_occ_2 + ...) - lambda
   // where each co-channel occupant's delta_occ = gain_of(occ, r, j, power +
   // signal(u, j, r)) - user_gain_[occ] does not depend on the candidate
   // server s (u cannot land on an occupied server, so r != s always, and
   // u's received power at server r is signal(u, j, r) either way). Hoist
-  // those deltas out of the per-candidate loop; the per-candidate chain
-  // then replays the scalar addition order exactly.
+  // those deltas out of the per-candidate loop, walking every occupant of
+  // the row in ascending server order as preview_changes does; the
+  // per-candidate chain then replays the scalar addition order exactly.
   thread_local std::vector<double> occ_delta;
-  thread_local std::vector<std::uint8_t> occupied;
   occ_delta.clear();
-  occupied.assign(num_servers_, 0);
   const double* urow = problem_->signal_row(u, j);
   for (std::size_t r = 0; r < num_servers_; ++r) {
-    const auto occ = x_.occupant(r, j);
+    const auto& occ = slot_users[r * num_subchannels_ + j];
     if (!occ.has_value()) continue;
-    occupied[r] = 1;
-    const double power = channel_power_[j * num_servers_ + r] + urow[r];
-    double occ_gain = gain_of(*occ, r, j, power);
+    const std::size_t idx = j * num_servers_ + r;
+    double occ_gain =
+        gain_of(*occ, r, j, slot_signal_[idx], channel_power_[idx] + urow[r]);
     if (x_.is_forwarded(*occ)) occ_gain -= forward_cost(*occ, r);
     occ_delta.push_back(occ_gain - user_gain_[*occ]);
   }
   const double sqrt_eta_u = problem_->sqrt_eta(u);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (std::size_t s = 0; s < num_servers_; ++s) {
-    if (occupied[s] != 0 || !x_.slot_available(s, j)) {
-      out[s] = nan;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const std::size_t s = candidates[i];
+    if (!can_take(s)) {
+      out[i] = nan;
       continue;
     }
     // Lambda delta (count goes 0/k -> k+1, never zero: no snap branch).
@@ -455,10 +476,11 @@ void IncrementalEvaluator::preview_offload_subchannel(std::size_t u,
         (after * after - before * before) / problem_->server_cpu_hz(s);
     // Mover gain at (s, j): u's own signal joins the cached power.
     const double power = channel_power_[j * num_servers_ + s] + urow[s];
-    double gain_delta = gain_of(u, s, j, power) - user_gain_[u];
+    double gain_delta = gain_of(u, s, j, urow[s], power) - user_gain_[u];
     for (const double delta : occ_delta) gain_delta += delta;
-    out[s] = utility_ + gain_delta - lambda_delta;
+    out[i] = utility_ + gain_delta - lambda_delta;
   }
+  return true;
 }
 
 double IncrementalEvaluator::preview_set_forwarded(std::size_t u,
@@ -494,6 +516,7 @@ double IncrementalEvaluator::preview_set_forwarded(std::size_t u,
   // Re-derive the gain the same way refresh_user_cost would so the preview
   // tracks apply exactly.
   double gain = gain_of(u, s, slot->subchannel,
+                        occupant_signal(s, slot->subchannel),
                         channel_power_[slot->subchannel * num_servers_ + s]);
   if (forwarded) gain -= forward_cost(u, s);
   const double gain_delta = gain - user_gain_[u];
@@ -545,6 +568,17 @@ void IncrementalEvaluator::self_check(double tolerance) const {
   TSAJS_CHECK(std::fabs(reference - utility_) <=
                   tolerance * std::max(1.0, std::fabs(reference)),
               "incremental utility drifted from the reference evaluator");
+  // The occupant signal cache must hold each occupant's own table entry
+  // exactly (0 for a free slot); a slot move that skipped its update fails
+  // here.
+  for (std::size_t j = 0; j < num_subchannels_; ++j) {
+    for (std::size_t s = 0; s < num_servers_; ++s) {
+      const auto occ = x_.occupant(s, j);
+      const double want = occ.has_value() ? signal_at(*occ, j, s) : 0.0;
+      TSAJS_CHECK(occupant_signal(s, j) == want,
+                  "occupant signal cache is stale");
+    }
+  }
   // Stale-cache guard: recompiling the bound scenario from scratch must
   // reproduce the shared problem bit for bit. A partial recompile (e.g.
   // recompile_channel after user parameters changed) fails here.

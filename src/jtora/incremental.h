@@ -43,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/matrix.h"
@@ -107,15 +108,20 @@ class IncrementalEvaluator {
                                              bool forwarded) const;
 
   /// Batch preview row (jtora::batch): candidate utilities of offloading
-  /// *local* user `u` onto sub-channel `j` for every server at once.
-  /// out[s] == preview_offload(u, s, j) bit for bit where slot (s, j) is
-  /// free and available; NaN elsewhere. The co-channel occupants' gain
-  /// deltas are independent of the candidate server (u's interference
-  /// reaches each occupant's server regardless of where u lands), so they
-  /// are derived once — O(S + K_j) log2 evaluations instead of the
-  /// O(S * K_j) of S scalar previews. `out` must hold num_servers() slots.
-  void preview_offload_subchannel(std::size_t u, std::size_t j,
-                                  double* out) const;
+  /// *local* user `u` onto sub-channel `j` at each server of `candidates`.
+  /// out[i] == preview_offload(u, candidates[i], j) bit for bit where slot
+  /// (candidates[i], j) is free and available; NaN elsewhere. The
+  /// co-channel occupants' gain deltas are independent of the candidate
+  /// server (u's interference reaches each occupant's server regardless of
+  /// where u lands), so they are derived once — O(C + K_j) log2 evaluations
+  /// instead of the O(C * K_j) of C scalar previews. When no candidate slot
+  /// is free and available the call computes nothing, leaves `out`
+  /// untouched and returns false; otherwise it fills
+  /// out[0, candidates.size()) and returns true. Pass every server id
+  /// 0..S-1 to score the whole row.
+  bool preview_offload_subchannel(std::size_t u, std::size_t j,
+                                  std::span<const std::size_t> candidates,
+                                  std::span<double> out) const;
 
   // --- proposal protocol --------------------------------------------------
   // The annealer wraps each proposal in checkpoint()/rollback(): apply the
@@ -149,10 +155,12 @@ class IncrementalEvaluator {
   /// edits, on the periodic anti-drift cadence, and by the self-check.
   void rebuild();
 
-  /// Verifies the cached utility against a fresh UtilityEvaluator run, and
-  /// the shared problem's tables against a freshly recompiled
-  /// CompiledProblem (catches stale caches after a partial recompile);
-  /// throws InternalError on drift beyond tolerance. For tests/debugging.
+  /// Verifies the cached utility against a fresh UtilityEvaluator run, the
+  /// occupant signal cache against the problem's signal table at every
+  /// slot (0 when free), and the shared problem's tables against a freshly
+  /// recompiled CompiledProblem (catches stale caches after a partial
+  /// recompile); throws InternalError on drift beyond tolerance or any
+  /// stale cache entry. For tests/debugging.
   void self_check(double tolerance = 1e-6) const;
 
   [[nodiscard]] const CompiledProblem& problem() const noexcept {
@@ -229,11 +237,18 @@ class IncrementalEvaluator {
                                  std::size_t s) const noexcept {
     return problem_->signal(u, j, s);
   }
-  /// Gamma-side gain of user `u` on slot (s, j) given the total received
-  /// power on that (sub-channel, server). Shared by refresh and preview so
-  /// both paths derive identical values from identical inputs.
+  /// Gamma-side gain of user `u` on slot (s, j) given its own received
+  /// power `signal` (= signal_at(u, j, s)) and the total received power on
+  /// that (sub-channel, server). Shared by refresh and preview so both
+  /// paths derive identical values from identical inputs.
   [[nodiscard]] double gain_of(std::size_t u, std::size_t s, std::size_t j,
+                               double signal,
                                double channel_power_total) const;
+  /// Own received power of the occupant of (s, j), from slot_signal_.
+  [[nodiscard]] double occupant_signal(std::size_t s,
+                                       std::size_t j) const noexcept {
+    return slot_signal_[j * num_servers_ + s];
+  }
 
   /// Recomputes the cached cost of one offloaded user (Gamma contribution)
   /// and updates the running total. O(1) thanks to the received-power cache.
@@ -288,6 +303,11 @@ class IncrementalEvaluator {
   // layout makes every power update a contiguous AXPY against the problem's
   // signal table.
   std::vector<double> channel_power_;
+  // Occupant signal cache, same (sub-channel, server) layout:
+  // slot_signal_[j * S + s] = p_o * h_{o->s}^j for the occupant o of
+  // (s, j), 0 for a free slot. Co-channel sweeps read it linearly instead
+  // of one random row of the problem's signal table per occupant.
+  std::vector<double> slot_signal_;
 
   double gain_minus_gamma_ = 0.0;  // sum over offloaded users of user_gain_
   double lambda_cost_ = 0.0;       // Eq. 23 total

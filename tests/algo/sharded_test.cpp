@@ -421,6 +421,43 @@ TEST(ShardedSchedulerTest, BudgetedWarmCloudSolveMatchesGoldenAt1And4Threads) {
   }
 }
 
+// Hexfloat golden for a cold solve on a saturated many-shard drop: 400
+// users over 50 slots (25 servers x 2 sub-channels), 17 shards at reach
+// 1200 m. Every slot ends up held, so most boundary users find each halo
+// sub-channel full apart from the slot they were lifted out of: the fixup
+// skips those rows unpriced and scores the rest from the occupant signal
+// cache. Neither may change a bit of the result, at 1 and 4 shard threads.
+TEST(ShardedSchedulerTest, SaturatedManyShardColdSolveMatchesGoldenAt1And4Threads) {
+  Rng env(101);
+  const mec::Scenario scenario = mec::ScenarioBuilder()
+                                     .num_users(400)
+                                     .num_servers(25)
+                                     .num_subchannels(2)
+                                     .build(env);
+  const jtora::CompiledProblem problem(scenario);
+  std::vector<geo::Point> sites;
+  for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
+    sites.push_back(scenario.server(s).position);
+  }
+  ASSERT_EQ(geo::InterferencePartition(sites, 1200.0).num_shards(), 17u);
+  RegistryOptions options;
+  options.chain_length = 10;
+  options.shard_reach_m = 1200.0;
+  options.budget.max_iterations = 4000;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads: " + std::to_string(threads));
+    options.shard_threads = threads;
+    const auto scheduler = make_scheduler("sharded:tsajs", options);
+    Rng rng(103);
+    const ScheduleResult result =
+        run_and_validate(*scheduler, {.problem = &problem, .rng = &rng});
+    EXPECT_EQ(result.system_utility, 0x1.42d80d30b76aap+5);
+    EXPECT_EQ(result.evaluations, 4996u);
+    EXPECT_EQ(result.assignment.num_offloaded(), 50u);
+    EXPECT_EQ(fingerprint(result.assignment), 12237006874060301944ull);
+  }
+}
+
 TEST(ShardedSchedulerTest, RegistryBuildsShardedWrappers) {
   const auto scheduler = make_scheduler("sharded:greedy");
   ASSERT_NE(scheduler, nullptr);

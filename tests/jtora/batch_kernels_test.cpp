@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "algo/scheduler.h"
@@ -14,6 +15,7 @@
 #include "jtora/compiled_problem.h"
 #include "jtora/incremental.h"
 #include "jtora/utility.h"
+#include "mec/availability.h"
 #include "mec/scenario_builder.h"
 
 namespace tsajs::jtora {
@@ -158,6 +160,12 @@ TEST(BatchDispatchTest, IncrementalRebuildIdenticalWithBatchOnAndOff) {
   eval.self_check();
 }
 
+std::vector<std::size_t> all_servers(std::size_t num_servers) {
+  std::vector<std::size_t> ids(num_servers);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  return ids;
+}
+
 TEST(BatchPreviewTest, SubchannelRowMatchesScalarPreviews) {
   const mec::Scenario scenario = make_scenario(8, 25, 6, 3);
   const CompiledProblem problem(scenario);
@@ -166,9 +174,10 @@ TEST(BatchPreviewTest, SubchannelRowMatchesScalarPreviews) {
   // Make sure at least one user is local so the batch preview has a mover.
   if (x.is_offloaded(0)) x.make_local(0);
   const IncrementalEvaluator eval(problem, x);
+  const std::vector<std::size_t> servers = all_servers(scenario.num_servers());
   std::vector<double> row(scenario.num_servers());
   for (std::size_t j = 0; j < scenario.num_subchannels(); ++j) {
-    eval.preview_offload_subchannel(0, j, row.data());
+    eval.preview_offload_subchannel(0, j, servers, row);
     for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
       if (x.occupant(s, j).has_value() || !scenario.slot_available(s, j)) {
         EXPECT_TRUE(std::isnan(row[s])) << "s=" << s << " j=" << j;
@@ -179,6 +188,66 @@ TEST(BatchPreviewTest, SubchannelRowMatchesScalarPreviews) {
   }
 }
 
+// The candidate-scoped contract on a cloud drop: sub-channel 0 carries a
+// forwarded occupant (its forward penalty rides the occupant delta) and a
+// masked slot. Each free, available candidate matches the scalar preview
+// bit for bit, in candidate order; occupied and masked candidates are NaN;
+// and a candidate list with no free slot returns false without writing.
+TEST(BatchPreviewTest, CandidateScopedPreviewContract) {
+  Rng env(17);
+  const mec::Scenario base = mec::ScenarioBuilder()
+                                 .num_users(12)
+                                 .num_servers(6)
+                                 .num_subchannels(2)
+                                 .cloud(100e9, 200e6, 0.01,
+                                        /*max_forwarded=*/3)
+                                 .build(env);
+  mec::Availability mask(base.num_servers(), base.num_subchannels());
+  mask.block_slot(4, 0);
+  const mec::Scenario scenario = base.with_availability(mask);
+  const CompiledProblem problem(scenario);
+  Assignment x(scenario);
+  x.offload(1, 0, 0);
+  x.set_forwarded(1, true);
+  x.offload(2, 2, 0);
+  x.offload(3, 1, 1);
+  x.offload(4, 5, 1);
+  const IncrementalEvaluator eval(problem, x);
+  ASSERT_TRUE(eval.is_forwarded(1));
+
+  // Unsorted on purpose: out[i] belongs to candidates[i], whatever the order.
+  const std::vector<std::size_t> candidates = {5, 0, 3, 4, 1, 2};
+  std::vector<double> out(candidates.size());
+  ASSERT_TRUE(eval.preview_offload_subchannel(0, 0, candidates, out));
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const std::size_t s = candidates[i];
+    if (x.occupant(s, 0).has_value() || !scenario.slot_available(s, 0)) {
+      EXPECT_TRUE(std::isnan(out[i])) << "s=" << s;
+    } else {
+      EXPECT_FALSE(std::isnan(out[i])) << "s=" << s;
+      expect_equivalent(out[i], eval.preview_offload(0, s, 0));
+    }
+  }
+  EXPECT_TRUE(std::isnan(out[1]));  // server 0: the forwarded occupant
+  EXPECT_TRUE(std::isnan(out[3]));  // server 4: masked
+
+  // Occupied (0, 2) and masked (4) only: nothing to price, nothing written.
+  const std::vector<std::size_t> taken = {0, 2, 4};
+  std::vector<double> untouched(taken.size(), 7.0);
+  EXPECT_FALSE(eval.preview_offload_subchannel(0, 0, taken, untouched));
+  for (const double v : untouched) EXPECT_EQ(v, 7.0);
+  // One free candidate is enough to price the row.
+  const std::vector<std::size_t> one_free = {0, 3};
+  std::vector<double> pair(one_free.size(), 7.0);
+  EXPECT_TRUE(eval.preview_offload_subchannel(0, 0, one_free, pair));
+  EXPECT_TRUE(std::isnan(pair[0]));
+  expect_equivalent(pair[1], eval.preview_offload(0, 3, 0));
+  // Sub-channel 1 is held only at servers 1 and 5.
+  EXPECT_FALSE(eval.preview_offload_subchannel(
+      0, 1, std::vector<std::size_t>{1, 5}, untouched));
+  for (const double v : untouched) EXPECT_EQ(v, 7.0);
+}
+
 TEST(BatchPreviewTest, RequiresLocalMover) {
   const mec::Scenario scenario = make_scenario(9, 6, 3, 2);
   const CompiledProblem problem(scenario);
@@ -186,7 +255,8 @@ TEST(BatchPreviewTest, RequiresLocalMover) {
   x.offload(2, 1, 0);
   const IncrementalEvaluator eval(problem, x);
   std::vector<double> row(scenario.num_servers());
-  EXPECT_THROW(eval.preview_offload_subchannel(2, 0, row.data()),
+  EXPECT_THROW(eval.preview_offload_subchannel(
+                   2, 0, all_servers(scenario.num_servers()), row),
                InvalidArgumentError);
 }
 

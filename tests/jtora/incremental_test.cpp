@@ -180,6 +180,9 @@ TEST(IncrementalProperty, LongRandomWalkTracksReferenceEvaluator) {
         ASSERT_NEAR(inc.utility(), reference.system_utility(inc.assignment()),
                     1e-6 * std::max(1.0, std::fabs(inc.utility())))
             << "seed " << seed << " step " << step;
+        // Also guards the per-slot caches after rollbacks.
+        ASSERT_NO_THROW(inc.self_check())
+            << "seed " << seed << " step " << step;
       }
     }
     EXPECT_NO_THROW(inc.self_check());
@@ -295,6 +298,11 @@ TEST(IncrementalDriftTest, LongChainStaysPinnedWithRebuildCadence) {
   ASSERT_EQ(inc.rebuild_interval(), 4096u);
   for (int step = 0; step < 50000; ++step) {
     neighborhood.step(inc, rng);
+    // Mid-chain, across the periodic rebuilds: the per-slot caches rebuilt
+    // from scratch must agree with the incrementally maintained ones.
+    if (step % 5000 == 4999) {
+      ASSERT_NO_THROW(inc.self_check());
+    }
   }
   EXPECT_NO_THROW(inc.self_check(1e-9));
   inc.assignment().check_consistency();
