@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -295,11 +297,40 @@ void BM_PreviewRow_Batch(benchmark::State& state) {
   std::iota(servers.begin(), servers.end(), std::size_t{0});
   std::vector<double> row(scenario.num_servers());
   for (auto _ : state) {
-    inc.preview_offload_subchannel(0, 0, servers, row);
+    inc.preview_offload_subchannel(
+        0, 0, servers, -std::numeric_limits<double>::infinity(), row);
     benchmark::DoNotOptimize(row.data());
   }
 }
 BENCHMARK(BM_PreviewRow_Batch);
+
+// The same row behind an incumbent above every candidate bound: what a
+// boundary-fixup row costs when the mover bounds prove it cannot win (one
+// gain per free candidate, no occupant pass).
+void BM_PreviewRow_Bounded(benchmark::State& state) {
+  const mec::Scenario scenario = default_scenario(90);
+  const jtora::CompiledProblem problem(scenario);
+  Rng rng(11);
+  jtora::Assignment x = algo::random_feasible_assignment(scenario, rng, 0.15);
+  if (x.is_offloaded(0)) x.make_local(0);
+  const jtora::IncrementalEvaluator inc(problem, x);
+  std::vector<std::size_t> servers(scenario.num_servers());
+  std::iota(servers.begin(), servers.end(), std::size_t{0});
+  std::vector<double> row(scenario.num_servers());
+  const double incumbent = std::numeric_limits<double>::max();
+  inc.preview_offload_subchannel(0, 0, servers, incumbent, row);
+  for (const double v : row) {
+    if (std::isfinite(v)) {
+      state.SkipWithError("the bounded row was priced");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    inc.preview_offload_subchannel(0, 0, servers, incumbent, row);
+    benchmark::DoNotOptimize(row.data());
+  }
+}
+BENCHMARK(BM_PreviewRow_Bounded);
 
 void BM_PreviewRow_Scalar(benchmark::State& state) {
   const mec::Scenario scenario = default_scenario(90);

@@ -155,8 +155,13 @@ ShardSweep sweep_shard(const jtora::IncrementalEvaluator& master,
     ++out.evaluations;
     for (std::size_t j = 0; j < num_subchannels; ++j) {
       // A sub-channel with no free halo slot is skipped unpriced; it held
-      // only NaN entries, which never counted as evaluations.
-      if (!eval.preview_offload_subchannel(u, j, halo, preview)) continue;
+      // only NaN entries, which never counted as evaluations. A row whose
+      // bound cannot beat best_utility comes back as -inf entries: still
+      // counted, never a winner under the strict > below.
+      if (!eval.preview_offload_subchannel(u, j, halo, best_utility,
+                                           preview)) {
+        continue;
+      }
       for (std::size_t i = 0; i < halo.size(); ++i) {
         if (std::isnan(preview[i])) continue;
         ++out.evaluations;

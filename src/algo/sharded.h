@@ -10,9 +10,12 @@
 // problem — the one place the decomposition neglected cross-shard
 // interference — using the IncrementalEvaluator's batch sub-channel
 // previews and keeping only strict improvements. The previews price only
-// the shard's halo servers, and a sub-channel whose halo slots are all
-// held is skipped unpriced — bit-identical to scoring whole rows, since
-// skipped entries were NaN and never counted (DESIGN.md §8).
+// the shard's halo servers; a sub-channel whose halo slots are all held is
+// skipped unpriced, and one whose free slots provably cannot beat the
+// user's best so far (an O(1) bound per slot) skips its co-channel
+// occupant pass — bit-identical to scoring whole rows, since the first
+// held only uncounted NaN entries and the second only values the strict
+// improvement test would reject (DESIGN.md §8).
 //
 // Parallelism & determinism (see DESIGN.md "Parallel sharded solving"):
 //   * Shard solves: child seeds derive from the caller Rng up front in

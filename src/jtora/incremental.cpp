@@ -102,10 +102,14 @@ double IncrementalEvaluator::gain_of(std::size_t u, std::size_t s,
 void IncrementalEvaluator::refresh_user_cost(std::size_t u) {
   TSAJS_CHECK(x_.is_offloaded(u), "refresh_user_cost needs an offloader");
   const Slot slot = *x_.slot_of(u);
-  const std::size_t idx = slot.subchannel * num_servers_ + slot.server;
-  double gain = gain_of(u, slot.server, slot.subchannel, slot_signal_[idx],
-                        channel_power_[idx]);
-  if (x_.is_forwarded(u)) gain -= forward_cost(u, slot.server);
+  refresh_slot_cost(u, slot.server, slot.subchannel);
+}
+
+void IncrementalEvaluator::refresh_slot_cost(std::size_t u, std::size_t s,
+                                             std::size_t j) {
+  const std::size_t idx = j * num_servers_ + s;
+  double gain = gain_of(u, s, j, slot_signal_[idx], channel_power_[idx]);
+  if (x_.is_forwarded(u)) gain -= forward_cost(u, s);
   gain_minus_gamma_ += gain - user_gain_[u];
   user_gain_[u] = gain;
 }
@@ -117,11 +121,14 @@ void IncrementalEvaluator::drop_user_cost(std::size_t u) {
 
 void IncrementalEvaluator::refresh_cochannel(std::size_t j,
                                              std::optional<std::size_t> skip) {
+  // Flat occupancy reads: each hit is an offloaded user whose slot is
+  // (s, j) by construction, so no per-user lookup is needed.
+  const auto& slot_users = x_.slot_users();
   for (std::size_t s = 0; s < num_servers_; ++s) {
-    const auto occupant = x_.occupant(s, j);
+    const auto& occupant = slot_users[s * num_subchannels_ + j];
     if (!occupant.has_value()) continue;
     if (skip.has_value() && *occupant == *skip) continue;
-    refresh_user_cost(*occupant);
+    refresh_slot_cost(*occupant, s, j);
   }
 }
 
@@ -421,9 +428,20 @@ double IncrementalEvaluator::preview_swap(std::size_t u1,
   return preview_changes(changes, 2);
 }
 
+namespace {
+
+/// Relative margin a row bound must clear below the incumbent before the
+/// row is skipped. It absorbs the one non-monotone step of the bound
+/// argument (the C library's log2, accurate to under 1 ulp): a row of K
+/// occupants can exceed its bound by at most about K ulps of the utility,
+/// many orders of magnitude below 1e-9 relative (DESIGN.md §8).
+constexpr double kRowBoundSlack = 1e-9;
+
+}  // namespace
+
 bool IncrementalEvaluator::preview_offload_subchannel(
     std::size_t u, std::size_t j, std::span<const std::size_t> candidates,
-    std::span<double> out) const {
+    double incumbent, std::span<double> out) const {
   TSAJS_REQUIRE(!x_.is_offloaded(u),
                 "preview_offload_subchannel previews a local user");
   TSAJS_REQUIRE(out.size() >= candidates.size(),
@@ -435,10 +453,47 @@ bool IncrementalEvaluator::preview_offload_subchannel(
     return x_.slot_available(s, j) &&
            !slot_users[s * num_subchannels_ + j].has_value();
   };
+  // Mover terms per free candidate, in candidate order: the mover's gain
+  // delta at (s, j) and the Lambda delta (count goes 0/k -> k+1, never
+  // zero: no snap branch). They are the head and tail of the exact chain
+  // below, and on their own they bound it from above: every co-channel
+  // occupant delta is <= 0 (u only adds interference), so
+  //   bound = (utility + mover_delta) - lambda_delta
+  // is at least every exact preview of the row up to log2 rounding.
+  thread_local std::vector<double> mover_delta;
+  thread_local std::vector<double> lambda_delta;
+  mover_delta.clear();
+  lambda_delta.clear();
+  const double* urow = problem_->signal_row(u, j);
+  const double sqrt_eta_u = problem_->sqrt_eta(u);
+  const double threshold =
+      incumbent - kRowBoundSlack * std::max(1.0, std::fabs(incumbent));
+  // -inf asks for the exact row; so does a NaN threshold (+inf incumbent).
+  bool skip = incumbent != -std::numeric_limits<double>::infinity();
+  for (const std::size_t s : candidates) {
+    if (!can_take(s)) continue;
+    const double before = server_sqrt_eta_[s];
+    const double after = before + sqrt_eta_u;
+    lambda_delta.push_back((after * after - before * before) /
+                           problem_->server_cpu_hz(s));
+    const double power = channel_power_[j * num_servers_ + s] + urow[s];
+    mover_delta.push_back(gain_of(u, s, j, urow[s], power) - user_gain_[u]);
+    skip = skip && (utility_ + mover_delta.back()) - lambda_delta.back() <=
+                       threshold;
+  }
   // A row with no free candidate slot costs one occupancy read per
   // candidate and nothing else.
-  if (std::none_of(candidates.begin(), candidates.end(), can_take)) {
-    return false;
+  if (mover_delta.empty()) return false;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  if (skip) {
+    // No free candidate can beat the incumbent: report each as -inf (still
+    // priced, never a winner) and leave the O(S) occupant pass out.
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      out[i] = can_take(candidates[i])
+                   ? -std::numeric_limits<double>::infinity()
+                   : nan;
+    }
+    return true;
   }
   // Per-candidate, preview_changes computes
   //   utility + ((mover_gain + delta_occ_1) + delta_occ_2 + ...) - lambda
@@ -451,7 +506,6 @@ bool IncrementalEvaluator::preview_offload_subchannel(
   // per-candidate chain then replays the scalar addition order exactly.
   thread_local std::vector<double> occ_delta;
   occ_delta.clear();
-  const double* urow = problem_->signal_row(u, j);
   for (std::size_t r = 0; r < num_servers_; ++r) {
     const auto& occ = slot_users[r * num_subchannels_ + j];
     if (!occ.has_value()) continue;
@@ -461,24 +515,16 @@ bool IncrementalEvaluator::preview_offload_subchannel(
     if (x_.is_forwarded(*occ)) occ_gain -= forward_cost(*occ, r);
     occ_delta.push_back(occ_gain - user_gain_[*occ]);
   }
-  const double sqrt_eta_u = problem_->sqrt_eta(u);
-  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::size_t free = 0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const std::size_t s = candidates[i];
-    if (!can_take(s)) {
+    if (!can_take(candidates[i])) {
       out[i] = nan;
       continue;
     }
-    // Lambda delta (count goes 0/k -> k+1, never zero: no snap branch).
-    const double before = server_sqrt_eta_[s];
-    const double after = before + sqrt_eta_u;
-    const double lambda_delta =
-        (after * after - before * before) / problem_->server_cpu_hz(s);
-    // Mover gain at (s, j): u's own signal joins the cached power.
-    const double power = channel_power_[j * num_servers_ + s] + urow[s];
-    double gain_delta = gain_of(u, s, j, urow[s], power) - user_gain_[u];
+    double gain_delta = mover_delta[free];
     for (const double delta : occ_delta) gain_delta += delta;
-    out[i] = utility_ + gain_delta - lambda_delta;
+    out[i] = utility_ + gain_delta - lambda_delta[free];
+    ++free;
   }
   return true;
 }
@@ -570,13 +616,20 @@ void IncrementalEvaluator::self_check(double tolerance) const {
               "incremental utility drifted from the reference evaluator");
   // The occupant signal cache must hold each occupant's own table entry
   // exactly (0 for a free slot); a slot move that skipped its update fails
-  // here.
+  // here. Each occupant's cached gain must equal a fresh gain_of at the
+  // current received power (less its forward penalty) bit for bit: the
+  // batch row bound relies on it to prove occupant deltas non-positive.
   for (std::size_t j = 0; j < num_subchannels_; ++j) {
     for (std::size_t s = 0; s < num_servers_; ++s) {
       const auto occ = x_.occupant(s, j);
       const double want = occ.has_value() ? signal_at(*occ, j, s) : 0.0;
       TSAJS_CHECK(occupant_signal(s, j) == want,
                   "occupant signal cache is stale");
+      if (!occ.has_value()) continue;
+      double gain =
+          gain_of(*occ, s, j, want, channel_power_[j * num_servers_ + s]);
+      if (x_.is_forwarded(*occ)) gain -= forward_cost(*occ, s);
+      TSAJS_CHECK(user_gain_[*occ] == gain, "cached user gain is stale");
     }
   }
   // Stale-cache guard: recompiling the bound scenario from scratch must

@@ -19,6 +19,11 @@
 //     full mutate-then-rollback round trip (two co-channel refresh sweeps
 //     plus undo bookkeeping). The TSAJS annealer previews every proposal
 //     and applies only the accepted ones.
+//   * batch rows — `preview_offload_subchannel` scores one local user on
+//     one sub-channel across a candidate list, deriving the co-channel
+//     deltas once, and skips that O(S) pass outright when an O(1) bound
+//     per candidate proves none can beat a caller's incumbent (occupant
+//     deltas are never positive; DESIGN.md §8).
 //
 // All hot-path reads go through the shared CompiledProblem's flattened
 // contiguous caches: its signal table holds p_u * h_us^j in (user,
@@ -108,19 +113,25 @@ class IncrementalEvaluator {
                                              bool forwarded) const;
 
   /// Batch preview row (jtora::batch): candidate utilities of offloading
-  /// *local* user `u` onto sub-channel `j` at each server of `candidates`.
-  /// out[i] == preview_offload(u, candidates[i], j) bit for bit where slot
-  /// (candidates[i], j) is free and available; NaN elsewhere. The
-  /// co-channel occupants' gain deltas are independent of the candidate
-  /// server (u's interference reaches each occupant's server regardless of
-  /// where u lands), so they are derived once — O(C + K_j) log2 evaluations
-  /// instead of the O(C * K_j) of C scalar previews. When no candidate slot
-  /// is free and available the call computes nothing, leaves `out`
-  /// untouched and returns false; otherwise it fills
-  /// out[0, candidates.size()) and returns true. Pass every server id
-  /// 0..S-1 to score the whole row.
+  /// *local* user `u` onto sub-channel `j` at each server of `candidates`,
+  /// for a caller that only wants values above `incumbent`. When no
+  /// candidate slot is free and available the call leaves `out` untouched
+  /// and returns false; otherwise it fills out[0, candidates.size()) —
+  /// NaN where slot (candidates[i], j) is occupied or masked — and returns
+  /// true. Each free candidate first gets an O(1) upper bound: its own
+  /// gain and Lambda deltas with every co-channel occupant delta left out
+  /// (those are never positive). When every bound clears below
+  /// `incumbent` by a small relative slack, no free candidate can beat it:
+  /// their entries read -inf and the O(S) occupant pass is skipped.
+  /// Otherwise each free entry equals preview_offload(u, candidates[i], j)
+  /// bit for bit; the occupant deltas are independent of the candidate
+  /// server, so they are derived once — O(C + K_j) log2 evaluations
+  /// instead of the O(C * K_j) of C scalar previews. `incumbent = -inf`
+  /// always gives the exact row. Pass every server id 0..S-1 to score the
+  /// whole row.
   bool preview_offload_subchannel(std::size_t u, std::size_t j,
                                   std::span<const std::size_t> candidates,
+                                  double incumbent,
                                   std::span<double> out) const;
 
   // --- proposal protocol --------------------------------------------------
@@ -253,6 +264,8 @@ class IncrementalEvaluator {
   /// Recomputes the cached cost of one offloaded user (Gamma contribution)
   /// and updates the running total. O(1) thanks to the received-power cache.
   void refresh_user_cost(std::size_t u);
+  /// The same for user `u` known to hold slot (s, j).
+  void refresh_slot_cost(std::size_t u, std::size_t s, std::size_t j);
   /// Adds/removes user `u`'s received power on sub-channel `j` at every
   /// server (the cache behind O(1) SINR reads). Contiguous O(S) scan.
   void add_channel_power(std::size_t u, std::size_t j, double sign);

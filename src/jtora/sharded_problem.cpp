@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "geo/point.h"
+#include "geo/site_grid.h"
 
 namespace tsajs::jtora {
 
@@ -132,9 +133,15 @@ void ShardedProblem::compile(const CompiledProblem& problem,
     }
   }
 
-  // Home cell per user = nearest server, lowest index on ties. Staged into
-  // scratch lists first so each shard's new membership can be diffed
+  // Home cell per user = nearest server, lowest index on ties, looked up
+  // on a site grid (the same argmin as a scan over every server). Staged
+  // into scratch lists first so each shard's new membership can be diffed
   // against the retained one.
+  std::vector<geo::Point> sites(num_servers);
+  for (std::size_t s = 0; s < num_servers; ++s) {
+    sites[s] = scenario.server(s).position;
+  }
+  const geo::SiteGrid grid(sites);
   home_server_.resize(num_users);
   shard_of_user_.resize(num_users);
   boundary_users_.clear();
@@ -143,17 +150,7 @@ void ShardedProblem::compile(const CompiledProblem& problem,
   boundary_users_of_.resize(num_shards);
   for (std::vector<std::size_t>& list : boundary_users_of_) list.clear();
   for (std::size_t u = 0; u < num_users; ++u) {
-    const geo::Point pos = scenario.user(u).position;
-    std::size_t best = 0;
-    double best_sq = geo::distance_squared(pos, scenario.server(0).position);
-    for (std::size_t s = 1; s < num_servers; ++s) {
-      const double d_sq =
-          geo::distance_squared(pos, scenario.server(s).position);
-      if (d_sq < best_sq) {
-        best = s;
-        best_sq = d_sq;
-      }
-    }
+    const std::size_t best = grid.nearest(scenario.user(u).position);
     home_server_[u] = best;
     const std::size_t k = partition.shard_of(best);
     shard_of_user_[u] = k;

@@ -13,6 +13,7 @@
 #include "algo/tsajs.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/units.h"
 #include "geo/partition.h"
 #include "geo/point.h"
 #include "jtora/assignment.h"
@@ -455,6 +456,47 @@ TEST(ShardedSchedulerTest, SaturatedManyShardColdSolveMatchesGoldenAt1And4Thread
     EXPECT_EQ(result.evaluations, 4996u);
     EXPECT_EQ(result.assignment.num_offloaded(), 50u);
     EXPECT_EQ(fingerprint(result.assignment), 12237006874060301944ull);
+  }
+}
+
+// Hexfloat golden for a cold many-shard solve with the downlink on: every
+// user returns a 100 KB result, so each priced slot carries its downlink
+// time, and 200 users compete for 50 slots (25 servers x 2 sub-channels).
+// The fixup's row bound must cover the downlink term too; no bit of the
+// result may move, at 1 and 4 shard threads.
+TEST(ShardedSchedulerTest, DownlinkManyShardColdSolveMatchesGoldenAt1And4Threads) {
+  Rng env(107);
+  const mec::Scenario scenario =
+      mec::ScenarioBuilder()
+          .num_users(200)
+          .num_servers(25)
+          .num_subchannels(2)
+          .customize_users([](std::size_t, mec::UserEquipment& ue) {
+            ue.task.output_bits = units::kilobytes_to_bits(100.0);
+          })
+          .build(env);
+  const jtora::CompiledProblem problem(scenario);
+  ASSERT_TRUE(problem.has_downlink());
+  std::vector<geo::Point> sites;
+  for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
+    sites.push_back(scenario.server(s).position);
+  }
+  ASSERT_EQ(geo::InterferencePartition(sites, 1200.0).num_shards(), 17u);
+  RegistryOptions options;
+  options.chain_length = 10;
+  options.shard_reach_m = 1200.0;
+  options.budget.max_iterations = 3000;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads: " + std::to_string(threads));
+    options.shard_threads = threads;
+    const auto scheduler = make_scheduler("sharded:tsajs", options);
+    Rng rng(109);
+    const ScheduleResult result =
+        run_and_validate(*scheduler, {.problem = &problem, .rng = &rng});
+    EXPECT_EQ(result.system_utility, 0x1.1e3947d49d3afp+5);
+    EXPECT_EQ(result.evaluations, 3668u);
+    EXPECT_EQ(result.assignment.num_offloaded(), 50u);
+    EXPECT_EQ(fingerprint(result.assignment), 9411742464189840600ull);
   }
 }
 

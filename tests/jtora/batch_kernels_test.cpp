@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "algo/scheduler.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/units.h"
 #include "jtora/assignment.h"
 #include "jtora/compiled_problem.h"
 #include "jtora/incremental.h"
@@ -160,6 +164,9 @@ TEST(BatchDispatchTest, IncrementalRebuildIdenticalWithBatchOnAndOff) {
   eval.self_check();
 }
 
+/// Incumbent that asks the row preview for every exact value.
+constexpr double kExact = -std::numeric_limits<double>::infinity();
+
 std::vector<std::size_t> all_servers(std::size_t num_servers) {
   std::vector<std::size_t> ids(num_servers);
   std::iota(ids.begin(), ids.end(), std::size_t{0});
@@ -177,7 +184,7 @@ TEST(BatchPreviewTest, SubchannelRowMatchesScalarPreviews) {
   const std::vector<std::size_t> servers = all_servers(scenario.num_servers());
   std::vector<double> row(scenario.num_servers());
   for (std::size_t j = 0; j < scenario.num_subchannels(); ++j) {
-    eval.preview_offload_subchannel(0, j, servers, row);
+    eval.preview_offload_subchannel(0, j, servers, kExact, row);
     for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
       if (x.occupant(s, j).has_value() || !scenario.slot_available(s, j)) {
         EXPECT_TRUE(std::isnan(row[s])) << "s=" << s << " j=" << j;
@@ -218,7 +225,7 @@ TEST(BatchPreviewTest, CandidateScopedPreviewContract) {
   // Unsorted on purpose: out[i] belongs to candidates[i], whatever the order.
   const std::vector<std::size_t> candidates = {5, 0, 3, 4, 1, 2};
   std::vector<double> out(candidates.size());
-  ASSERT_TRUE(eval.preview_offload_subchannel(0, 0, candidates, out));
+  ASSERT_TRUE(eval.preview_offload_subchannel(0, 0, candidates, kExact, out));
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const std::size_t s = candidates[i];
     if (x.occupant(s, 0).has_value() || !scenario.slot_available(s, 0)) {
@@ -234,18 +241,147 @@ TEST(BatchPreviewTest, CandidateScopedPreviewContract) {
   // Occupied (0, 2) and masked (4) only: nothing to price, nothing written.
   const std::vector<std::size_t> taken = {0, 2, 4};
   std::vector<double> untouched(taken.size(), 7.0);
-  EXPECT_FALSE(eval.preview_offload_subchannel(0, 0, taken, untouched));
+  EXPECT_FALSE(eval.preview_offload_subchannel(0, 0, taken, kExact, untouched));
   for (const double v : untouched) EXPECT_EQ(v, 7.0);
   // One free candidate is enough to price the row.
   const std::vector<std::size_t> one_free = {0, 3};
   std::vector<double> pair(one_free.size(), 7.0);
-  EXPECT_TRUE(eval.preview_offload_subchannel(0, 0, one_free, pair));
+  EXPECT_TRUE(eval.preview_offload_subchannel(0, 0, one_free, kExact, pair));
   EXPECT_TRUE(std::isnan(pair[0]));
   expect_equivalent(pair[1], eval.preview_offload(0, 3, 0));
   // Sub-channel 1 is held only at servers 1 and 5.
   EXPECT_FALSE(eval.preview_offload_subchannel(
-      0, 1, std::vector<std::size_t>{1, 5}, untouched));
+      0, 1, std::vector<std::size_t>{1, 5}, kExact, untouched));
   for (const double v : untouched) EXPECT_EQ(v, 7.0);
+}
+
+// The incumbent contract on random states of a cloud drop with the
+// downlink on, masked slots and a forwarded occupant, from empty to
+// saturated. For every incumbent tried — below, at and above each row's
+// true maximum, then bisected down to the lowest one that skips the row —
+// a skipped row (-inf at every free candidate) holds no exact value above
+// the incumbent, a priced row is bit-equal to the scalar previews, -inf
+// never skips, occupied and masked candidates stay NaN, and a row with
+// nothing free returns false without writing whatever the incumbent.
+TEST(BatchPreviewTest, RowBoundSkipsOnlyRowsThatCannotWin) {
+  Rng env(23);
+  const mec::Scenario base =
+      mec::ScenarioBuilder()
+          .num_users(40)
+          .num_servers(9)
+          .num_subchannels(3)
+          .cloud(100e9, 200e6, 0.01, /*max_forwarded=*/4)
+          .customize_users([](std::size_t, mec::UserEquipment& ue) {
+            ue.task.output_bits = units::kilobytes_to_bits(50.0);
+          })
+          .build(env);
+  mec::Availability mask(base.num_servers(), base.num_subchannels());
+  mask.block_slot(2, 1);
+  mask.block_slot(6, 0);
+  const mec::Scenario scenario = base.with_availability(mask);
+  const CompiledProblem problem(scenario);
+  ASSERT_TRUE(problem.has_downlink());
+  const std::size_t num_servers = scenario.num_servers();
+  const std::vector<std::size_t> servers = all_servers(num_servers);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> exact(num_servers);
+  std::vector<double> row(num_servers);
+  std::size_t skipped = 0;
+  std::size_t priced = 0;
+  std::size_t full = 0;
+  std::size_t forwarded_rows = 0;
+  constexpr std::uint64_t kTrials = 24;
+  for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
+    Rng rng(200 + trial);
+    Assignment x = algo::random_feasible_assignment(
+        scenario, rng,
+        static_cast<double>(trial) / static_cast<double>(kTrials - 1));
+    if (x.is_offloaded(0)) x.make_local(0);
+    for (const std::size_t u : x.offloaded_users()) {
+      if (x.can_forward(u)) {
+        x.set_forwarded(u, true);
+        break;
+      }
+    }
+    const IncrementalEvaluator eval(problem, x);
+    for (std::size_t j = 0; j < scenario.num_subchannels(); ++j) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " j " +
+                   std::to_string(j));
+      const auto can_take = [&](std::size_t s) {
+        return !x.occupant(s, j).has_value() && scenario.slot_available(s, j);
+      };
+      std::vector<double> untouched(num_servers, 7.0);
+      if (!eval.preview_offload_subchannel(0, j, servers, kExact, exact)) {
+        ++full;
+        for (const double incumbent : {-inf, 0.0, inf}) {
+          EXPECT_FALSE(eval.preview_offload_subchannel(0, j, servers,
+                                                       incumbent, untouched));
+        }
+        for (const double v : untouched) EXPECT_EQ(v, 7.0);
+        continue;
+      }
+      for (std::size_t s = 0; s < num_servers; ++s) {
+        const auto occ = x.occupant(s, j);
+        if (occ.has_value() && x.is_forwarded(*occ)) ++forwarded_rows;
+      }
+      // -inf prices the row exactly.
+      double top = -inf;
+      for (std::size_t s = 0; s < num_servers; ++s) {
+        if (!can_take(s)) {
+          EXPECT_TRUE(std::isnan(exact[s])) << "s=" << s;
+          continue;
+        }
+        ASSERT_TRUE(std::isfinite(exact[s])) << "s=" << s;
+        expect_equivalent(exact[s], eval.preview_offload(0, s, j));
+        top = std::max(top, exact[s]);
+      }
+      // Checks the contract at one incumbent; returns whether it skipped.
+      const auto check = [&](double incumbent) {
+        EXPECT_TRUE(
+            eval.preview_offload_subchannel(0, j, servers, incumbent, row));
+        bool row_skipped = false;
+        for (std::size_t s = 0; s < num_servers; ++s) {
+          if (can_take(s) && row[s] == -inf) row_skipped = true;
+        }
+        for (std::size_t s = 0; s < num_servers; ++s) {
+          if (!can_take(s)) {
+            EXPECT_TRUE(std::isnan(row[s])) << "s=" << s;
+          } else if (row_skipped) {
+            EXPECT_EQ(row[s], -inf) << "s=" << s;
+            EXPECT_LE(exact[s], incumbent) << "s=" << s;
+          } else {
+            EXPECT_EQ(row[s], exact[s]) << "s=" << s;
+          }
+        }
+        ++(row_skipped ? skipped : priced);
+        return row_skipped;
+      };
+      EXPECT_FALSE(check(-inf));
+      const double scale = std::max(1.0, std::fabs(top));
+      for (const double incumbent :
+           {top - scale, std::nextafter(top, -inf), top,
+            std::nextafter(top, inf), eval.utility()}) {
+        check(incumbent);
+      }
+      // Bisect to the lowest incumbent that skips the row: the row's
+      // maximum must not lie above it.
+      double lo = top - scale;
+      double hi = top + scale;
+      for (int grow = 0; grow < 1000 && !check(hi); ++grow) {
+        hi = top + 2.0 * (hi - top);
+      }
+      for (int step = 0; step < 64; ++step) {
+        const double mid = lo + 0.5 * (hi - lo);
+        if (mid <= lo || mid >= hi) break;
+        (check(mid) ? hi : lo) = mid;
+      }
+    }
+  }
+  // Every branch of the contract ran.
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(priced, 0u);
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(forwarded_rows, 0u);
 }
 
 TEST(BatchPreviewTest, RequiresLocalMover) {
@@ -256,7 +392,7 @@ TEST(BatchPreviewTest, RequiresLocalMover) {
   const IncrementalEvaluator eval(problem, x);
   std::vector<double> row(scenario.num_servers());
   EXPECT_THROW(eval.preview_offload_subchannel(
-                   2, 0, all_servers(scenario.num_servers()), row),
+                   2, 0, all_servers(scenario.num_servers()), kExact, row),
                InvalidArgumentError);
 }
 

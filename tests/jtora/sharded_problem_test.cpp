@@ -10,6 +10,7 @@
 #include "algo/scheduler.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "geo/hex_layout.h"
 #include "geo/partition.h"
 #include "geo/point.h"
 #include "jtora/batch_kernels.h"
@@ -71,20 +72,82 @@ TEST(ShardedProblemTest, PartitionsEveryUserExactlyOnce) {
   for (const std::size_t n : seen) EXPECT_EQ(n, 1u);
 }
 
-TEST(ShardedProblemTest, HomeServerIsNearest) {
-  const mec::Scenario scenario = make_scenario(2, 25);
+/// Nearest server by a scan over every server in index order: the first
+/// strictly closer one wins, so ties go to the lowest index.
+std::size_t scan_nearest(const mec::Scenario& scenario, geo::Point p) {
+  std::size_t best = 0;
+  double best_sq = geo::distance_squared(p, scenario.server(0).position);
+  for (std::size_t s = 1; s < scenario.num_servers(); ++s) {
+    const double d_sq = geo::distance_squared(p, scenario.server(s).position);
+    if (d_sq < best_sq) {
+      best = s;
+      best_sq = d_sq;
+    }
+  }
+  return best;
+}
+
+mec::Scenario scenario_with_users(const std::vector<geo::Point>& positions,
+                                  std::size_t servers) {
+  Rng rng(11);
+  return mec::ScenarioBuilder()
+      .num_users(positions.size())
+      .num_servers(servers)
+      .num_subchannels(2)
+      .inter_site_distance_m(1000.0)
+      .customize_users([&positions](std::size_t u, mec::UserEquipment& ue) {
+        ue.position = positions[u];
+      })
+      .build(rng);
+}
+
+void expect_scan_homes(const mec::Scenario& scenario) {
   const CompiledProblem problem(scenario);
   const geo::InterferencePartition partition(sites_of(scenario), 2000.0);
   const ShardedProblem sharded(problem, partition);
   for (std::size_t u = 0; u < scenario.num_users(); ++u) {
     const geo::Point pos = scenario.user(u).position;
-    const double home_sq = geo::distance_squared(
-        pos, scenario.server(sharded.home_server(u)).position);
-    for (std::size_t s = 0; s < scenario.num_servers(); ++s) {
-      EXPECT_LE(home_sq,
-                geo::distance_squared(pos, scenario.server(s).position));
+    EXPECT_EQ(sharded.home_server(u), scan_nearest(scenario, pos))
+        << "u=" << u << " at (" << pos.x << ", " << pos.y << ")";
+  }
+}
+
+TEST(ShardedProblemTest, HomeServerIsNearest) {
+  // A random drop.
+  expect_scan_homes(make_scenario(2, 25));
+
+  // Exact ties: users at the midpoints of site pairs whose two squared
+  // distances are bitwise equal. Adjacent sites' midpoints are nearest to
+  // exactly those two, so the lowest index must win.
+  const geo::HexLayout layout(19, 1000.0);
+  std::vector<geo::Point> ties;
+  std::size_t nearest_ties = 0;
+  for (std::size_t a = 0; a < layout.num_cells(); ++a) {
+    for (std::size_t b = a + 1; b < layout.num_cells(); ++b) {
+      const geo::Point m = 0.5 * (layout.site(a) + layout.site(b));
+      const double d_sq = geo::distance_squared(m, layout.site(a));
+      if (d_sq != geo::distance_squared(m, layout.site(b))) continue;
+      ties.push_back(m);
+      std::size_t closer = 0;
+      for (std::size_t c = 0; c < layout.num_cells(); ++c) {
+        if (geo::distance_squared(m, layout.site(c)) < d_sq) ++closer;
+      }
+      if (closer == 0) ++nearest_ties;
     }
   }
+  ASSERT_GE(nearest_ties, 5u);
+  const mec::Scenario tied = scenario_with_users(ties, 19);
+  ASSERT_EQ(tied.server(7).position, layout.site(7));
+  expect_scan_homes(tied);
+
+  // Users outside the site bounding box, near it and far from it.
+  expect_scan_homes(scenario_with_users({{-5000.0, 0.0},
+                                         {0.0, 9000.0},
+                                         {3000.0, -3000.0},
+                                         {2600.0, 10.0},
+                                         {-1e6, 1e6},
+                                         {4e5, -2.5e3}},
+                                        19));
 }
 
 TEST(ShardedProblemTest, SignalTableSlicesBitwise) {
