@@ -22,8 +22,9 @@
 // p50/p99 across trials, and whether every trial landed within the budget
 // (solve_seconds <= budget * slack; the deadline is checked at pass
 // boundaries and every 32 fixup users, so small overshoot is expected and
-// --budget-slack defaults to 1.25). The validation audit of
-// run_and_validate stays on at every scale.
+// --budget-slack defaults to 1.25). --budget-ms 0 is unlimited, so every
+// point is within it. The validation audit of run_and_validate stays on
+// at every scale.
 //
 // With --json PATH the raw per-trial samples are dumped as JSON; the
 // checked-in reference lives in bench/BENCH_scale.json.
@@ -109,7 +110,8 @@ int main(int argc, char** argv) {
                "run every point at each of these thread counts "
                "(e.g. 1,2,8; empty = just --shard-threads)",
                "");
-  cli.add_flag("budget-ms", "anytime wall-clock budget per solve [ms]",
+  cli.add_flag("budget-ms",
+               "anytime wall-clock budget per solve [ms] (0 = unlimited)",
                "2000");
   cli.add_flag("budget-slack",
                "within-budget slack factor on the recorded solve time",
@@ -224,11 +226,15 @@ int main(int argc, char** argv) {
       "threads",   "utility",   "offloaded", "solve p50",
       "solve p99", "within budget"};
   if (sweeping) headers.insert(headers.begin() + 9, "speedup");
+  // A zero budget is SolveBudget's "unlimited": every point is within it.
+  const auto within_budget = [&](const Point& point) {
+    return budget_s == 0.0 || point.max_solve() <= budget_s * slack;
+  };
   Table table(headers);
   bool all_within = true;
   for (const Point& point : points) {
     const std::vector<double> samples = point.solve_samples();
-    const bool within = point.max_solve() <= budget_s * slack;
+    const bool within = within_budget(point);
     all_within = all_within && within;
     std::vector<std::string> row = {
         std::to_string(point.users),
@@ -259,8 +265,9 @@ int main(int argc, char** argv) {
     table.add_row(row);
   }
   std::cout << "\n== City-scale sweep (" << scheme_name << ", budget "
-            << units::duration_string(budget_s) << ", seed " << seed
-            << ") ==\n";
+            << (budget_s == 0.0 ? "unlimited"
+                                : units::duration_string(budget_s))
+            << ", seed " << seed << ") ==\n";
   table.print(std::cout);
 
   const std::string json_path = cli.get_string("json");
@@ -285,8 +292,7 @@ int main(int argc, char** argv) {
           << ",\"shard_threads\":" << point.shard_threads
           << ",\"solve_p50\":" << quantile(samples, 0.5)
           << ",\"solve_p99\":" << quantile(samples, 0.99)
-          << ",\"within_budget\":"
-          << (point.max_solve() <= budget_s * slack ? "true" : "false")
+          << ",\"within_budget\":" << (within_budget(point) ? "true" : "false")
           << ",\"trials\":[";
       for (std::size_t t = 0; t < point.trials.size(); ++t) {
         const Trial& trial = point.trials[t];

@@ -3,15 +3,12 @@
 #include <sstream>
 
 #include "algo/exhaustive.h"
-#include "algo/genetic.h"
 #include "algo/greedy.h"
 #include "algo/hjtora.h"
 #include "algo/local_search.h"
 #include "algo/multi_start.h"
-#include "algo/pso.h"
 #include "algo/random_scheduler.h"
 #include "algo/sharded.h"
-#include "algo/tabu.h"
 #include "common/error.h"
 
 namespace tsajs::algo {
@@ -42,9 +39,6 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
   }
   if (name == "exhaustive") return std::make_unique<ExhaustiveScheduler>();
   if (name == "random") return std::make_unique<RandomScheduler>();
-  if (name == "genetic") return std::make_unique<GeneticScheduler>();
-  if (name == "pso") return std::make_unique<PsoScheduler>();
-  if (name == "tabu") return std::make_unique<TabuScheduler>();
   if (name == "tsajs-x4") {
     TsajsConfig config;
     config.chain_length = options.chain_length;
@@ -78,8 +72,8 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
 }
 
 std::vector<std::string> scheduler_names() {
-  return {"exhaustive", "tsajs",  "tsajs-geo", "tsajs-x4", "hjtora",
-          "local-search", "greedy", "genetic", "pso", "tabu", "random"};
+  return {"exhaustive", "tsajs",        "tsajs-geo", "tsajs-x4",
+          "hjtora",     "local-search", "greedy",    "random"};
 }
 
 std::vector<std::string> parse_scheme_list(const std::string& csv) {

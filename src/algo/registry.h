@@ -48,11 +48,12 @@ struct RegistryOptions {
   std::size_t shard_threads = 1;
 };
 
-/// Creates a scheduler by name: "tsajs", "tsajs-geo" (geometric-cooling
-/// ablation), "hjtora", "greedy", "local-search", "exhaustive", "random";
-/// any name may be prefixed "sharded:" (e.g. "sharded:tsajs") to wrap the
-/// scheme in the interference-locality ShardedScheduler. Throws
-/// NotFoundError for unknown names.
+/// Creates a scheduler by name: "exhaustive", "tsajs", "tsajs-geo"
+/// (geometric-cooling ablation), "tsajs-x4" (four-restart multi-start),
+/// "hjtora", "local-search", "greedy", "random" — exactly the
+/// scheduler_names() list; any name may be prefixed "sharded:" (e.g.
+/// "sharded:tsajs") to wrap the scheme in the interference-locality
+/// ShardedScheduler. Throws NotFoundError for unknown names.
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
     const std::string& name, const RegistryOptions& options = {});
 

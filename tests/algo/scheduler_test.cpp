@@ -70,6 +70,24 @@ TEST(RegistryTest, AllNamesConstructible) {
   }
 }
 
+TEST(RegistryTest, NamesAreTheRegisteredSet) {
+  const std::vector<std::string> expected = {
+      "exhaustive", "tsajs",        "tsajs-geo", "tsajs-x4",
+      "hjtora",     "local-search", "greedy",    "random"};
+  EXPECT_EQ(scheduler_names(), expected);
+
+  std::string csv;
+  for (const auto& name : expected) {
+    if (!csv.empty()) csv += ',';
+    csv += name;
+  }
+  EXPECT_EQ(parse_scheme_list(csv), expected);
+
+  EXPECT_THROW((void)make_scheduler("genetic"), NotFoundError);
+  EXPECT_THROW((void)make_scheduler("pso"), NotFoundError);
+  EXPECT_THROW((void)make_scheduler("tabu"), NotFoundError);
+}
+
 TEST(RegistryTest, UnknownNameThrows) {
   EXPECT_THROW((void)make_scheduler("nope"), NotFoundError);
 }

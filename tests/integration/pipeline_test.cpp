@@ -96,7 +96,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SchemeInstanceTest,
     ::testing::Combine(
         ::testing::Values("tsajs", "tsajs-geo", "hjtora", "local-search",
-                          "greedy", "genetic", "random"),
+                          "greedy", "random"),
         ::testing::Values(Shape{4, 2, 1, 1000.0}, Shape{8, 3, 2, 2000.0},
                           Shape{20, 9, 3, 1000.0},
                           Shape{40, 9, 3, 3000.0})),
@@ -114,8 +114,7 @@ TEST_P(OptimalityTest, NoSchemeBeatsExhaustive) {
   const double optimum = algo::ExhaustiveScheduler()
                              .solve({.problem = &problem, .rng = &rng_exh})
                              .system_utility;
-  for (const char* scheme :
-       {"tsajs", "hjtora", "local-search", "greedy", "genetic"}) {
+  for (const char* scheme : {"tsajs", "hjtora", "local-search", "greedy"}) {
     Rng rng(seed + 17);
     const double utility = algo::make_scheduler(scheme)
                                ->solve({.problem = &problem, .rng = &rng})

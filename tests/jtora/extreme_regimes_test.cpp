@@ -111,9 +111,8 @@ TEST(ExtremeRegimes, SingleUserSingleServerSingleChannel) {
                                      .num_servers(1)
                                      .num_subchannels(1)
                                      .build(rng);
-  for (const char* name :
-       {"tsajs", "hjtora", "local-search", "greedy", "exhaustive",
-        "genetic", "random"}) {
+  for (const char* name : {"tsajs", "hjtora", "local-search", "greedy",
+                           "exhaustive", "random"}) {
     Rng r(9);
     const CompiledProblem problem(scenario);
     const auto result =
